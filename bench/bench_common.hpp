@@ -8,9 +8,6 @@
 //   --no-scan-knowledge  disable the Section-2 functional scan knowledge
 //   --x-fill=random|zero translation x-fill policy
 //   --threads=N          size of the global fault-simulation thread pool
-//   --engine=E           simulation engine: compiled (default) | levelized
-//                        | event (see sim/engine.hpp)
-//   --no-cone-pruning    disable per-batch observation-cone pruning
 //   --slot-width=W       simulation slot width: 64 | 256 | 512 | auto
 //                        (default auto: widest SIMD the build and CPU
 //                        support; see sim/slot_word.hpp). With --repack=on
@@ -36,10 +33,9 @@
 //   --fail-fast          abort the whole run on the first circuit failure
 //                        (default: failures are isolated into FAILED rows)
 //   --trace=FILE         emit a Chrome trace_event JSON of the run to FILE
-//   --via-scheduler      route the suite's circuit tasks through the serve
-//                        JobScheduler (admission control, fair dispatch,
-//                        transient-failure retries) instead of a bare
-//                        parallel_for; rows are bit-identical either way
+//
+// A numeric flag takes a plain non-negative decimal value (--threads at
+// most ThreadPool::kMaxThreads); anything else is a usage error (exit 2).
 #pragma once
 
 #include <algorithm>
@@ -49,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,8 +53,8 @@
 #include "core/uniscan.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "serve/suite_client.hpp"
 #include "sim/engine.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 namespace uniscan::bench {
@@ -72,18 +69,23 @@ struct Args {
   std::uint64_t seed = 1;
   std::size_t threads = 1;
   XFillPolicy fill = XFillPolicy::RandomFill;
-  SimEngine engine = SimEngine::Compiled;
-  bool cone_pruning = true;
   bool repack = true;
   SlotWidth slot_width = SlotWidth::Auto;
   double time_budget_secs = 0;
   double per_circuit_budget_secs = 0;
   bool fail_fast = false;
-  bool via_scheduler = false;  // --via-scheduler: thin-client JobScheduler path
   SatMode sat = SatMode::Off;  // --sat=off|second-chance|cross-check
   std::string trace;   // --trace=FILE: Chrome trace_event output
   std::string corpus;  // --corpus=fast|mid|large|all
 };
+
+/// Value of a strictly parsed numeric flag; a rejected value (already
+/// reported by the parser) is a usage error.
+template <class T>
+T flag_or_exit(std::optional<T> v) {
+  if (!v) std::exit(kExitUsage);
+  return *v;
+}
 
 inline Args parse_args(int argc, char** argv) {
   Args a;
@@ -94,17 +96,11 @@ inline Args parse_args(int argc, char** argv) {
     else if (arg.rfind("--circuit=", 0) == 0) a.circuit = arg.substr(10);
     else if (arg.rfind("--bench-dir=", 0) == 0) a.bench_dir = arg.substr(12);
     else if (arg.rfind("--json=", 0) == 0) a.json = arg.substr(7);
-    else if (arg.rfind("--seed=", 0) == 0) a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+    else if (arg.rfind("--seed=", 0) == 0) a.seed = flag_or_exit(flag_uint(arg));
     else if (arg.rfind("--threads=", 0) == 0)
-      a.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      a.threads = flag_or_exit(flag_uint(arg, ThreadPool::kMaxThreads));
     else if (arg == "--x-fill=zero") a.fill = XFillPolicy::ZeroFill;
     else if (arg == "--x-fill=random") a.fill = XFillPolicy::RandomFill;
-    else if (arg.rfind("--engine=", 0) == 0) {
-      if (!parse_sim_engine(arg.substr(9), a.engine)) {
-        std::fprintf(stderr, "unknown engine: %s (compiled|levelized|event)\n", arg.c_str() + 9);
-        std::exit(2);
-      }
-    } else if (arg == "--no-cone-pruning") a.cone_pruning = false;
     else if (arg.rfind("--repack=", 0) == 0) {
       const std::string v = arg.substr(9);
       if (v == "on") a.repack = true;
@@ -136,11 +132,10 @@ inline Args parse_args(int argc, char** argv) {
         std::exit(2);
       }
     } else if (arg.rfind("--time-budget=", 0) == 0)
-      a.time_budget_secs = std::strtod(arg.c_str() + 14, nullptr);
+      a.time_budget_secs = flag_or_exit(flag_number(arg));
     else if (arg.rfind("--per-circuit-budget=", 0) == 0)
-      a.per_circuit_budget_secs = std::strtod(arg.c_str() + 21, nullptr);
+      a.per_circuit_budget_secs = flag_or_exit(flag_number(arg));
     else if (arg == "--fail-fast") a.fail_fast = true;
-    else if (arg == "--via-scheduler") a.via_scheduler = true;
     else if (arg.rfind("--sat=", 0) == 0) {
       const auto mode = parse_sat_mode(arg.substr(6));
       if (!mode) {
@@ -158,8 +153,6 @@ inline Args parse_args(int argc, char** argv) {
   }
   if (a.threads == 0) a.threads = 1;
   ThreadPool::set_global_threads(a.threads);
-  set_global_sim_engine(a.engine);
-  set_global_cone_pruning(a.cone_pruning);
   set_global_repack(a.repack);
   set_global_slot_width(a.slot_width);
   if (!a.trace.empty()) obs::Tracer::start(a.trace);
@@ -410,26 +403,6 @@ inline std::string row_status(const TaskFailure& f) { return "FAILED(" + f.stage
 /// rows were still produced; CI asserts on this). Alias of the shared
 /// taxonomy in core/exit_codes.hpp.
 inline constexpr int kExitHadFailures = uniscan::kExitHadFailures;
-
-/// Suite fan-out dispatcher: the direct streaming path by default, the serve
-/// JobScheduler thin-client path under --via-scheduler. Both produce the
-/// same ordered row stream and identical row values — the scheduler only
-/// changes HOW tasks are dispatched (admission, fairness, retries), never
-/// what they compute (serve/suite_client.hpp).
-template <typename Fn, typename Emit>
-auto run_suite_rows(const Args& a, const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit,
-                    bool fail_fast = false) {
-  if (!a.via_scheduler)
-    return run_suite_tasks_streaming(suite, std::forward<Fn>(fn), std::forward<Emit>(emit),
-                                     fail_fast);
-  serve::JobScheduler::Options opt;
-  // The whole suite is submitted up front by one tenant: size the queue so
-  // admission control never sheds the bench's own rows.
-  opt.max_queue_per_tenant = std::max<std::size_t>(suite.size(), 1);
-  serve::JobScheduler sched(opt);
-  return serve::run_suite_tasks_scheduled(sched, suite, std::forward<Fn>(fn),
-                                          std::forward<Emit>(emit), fail_fast);
-}
 
 /// Print isolated failures to stderr, one structured line each.
 inline void print_failures(const std::vector<TaskFailure>& failures) {

@@ -8,8 +8,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/exit_codes.hpp"
 #include "core/uniscan.hpp"
 #include "sim/engine.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace uniscan;
@@ -145,8 +147,9 @@ int main(int argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const std::size_t n = std::strtoull(argv[i] + 10, nullptr, 10);
-      uniscan::ThreadPool::set_global_threads(n == 0 ? 1 : n);
+      const auto n = uniscan::flag_uint(argv[i], uniscan::ThreadPool::kMaxThreads);
+      if (!n) return uniscan::kExitUsage;
+      uniscan::ThreadPool::set_global_threads(*n == 0 ? 1 : *n);
     } else {
       argv[kept++] = argv[i];
     }

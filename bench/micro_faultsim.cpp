@@ -49,7 +49,7 @@ BENCHMARK(BM_ParallelFaultSim)->Unit(benchmark::kMillisecond);
 
 void BM_SerialFaultSim(benchmark::State& state) {
   // One fault per word: the cost model of a naive serial simulator on the
-  // same levelized engine.
+  // same kernel.
   Setup& s = s298();
   FaultSimulator sim(s.nl);
   for (auto _ : state) {
@@ -76,33 +76,6 @@ void BM_GoodMachineSim(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(s.seq.length()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GoodMachineSim)->Unit(benchmark::kMicrosecond);
-
-void BM_EventDrivenSim(benchmark::State& state) {
-  // Event-driven vs levelized good-machine simulation; the event engine
-  // shines when activity is low (here: constant inputs, settling state).
-  Setup& s = s298();
-  TestSequence quiet(s.nl.num_inputs());
-  for (int t = 0; t < 256; ++t) quiet.append(std::vector<V3>(s.nl.num_inputs(), V3::Zero));
-  EventSimulator sim(s.nl);
-  for (auto _ : state) {
-    auto trace = sim.simulate(quiet, State(s.nl.num_dffs(), V3::X));
-    benchmark::DoNotOptimize(trace);
-  }
-  state.counters["gate_evals"] = static_cast<double>(sim.gate_evals());
-}
-BENCHMARK(BM_EventDrivenSim)->Unit(benchmark::kMicrosecond);
-
-void BM_LevelizedQuietSim(benchmark::State& state) {
-  Setup& s = s298();
-  TestSequence quiet(s.nl.num_inputs());
-  for (int t = 0; t < 256; ++t) quiet.append(std::vector<V3>(s.nl.num_inputs(), V3::Zero));
-  const SequentialSimulator sim(s.nl);
-  for (auto _ : state) {
-    auto trace = sim.simulate(quiet, State(s.nl.num_dffs(), V3::X));
-    benchmark::DoNotOptimize(trace);
-  }
-}
-BENCHMARK(BM_LevelizedQuietSim)->Unit(benchmark::kMicrosecond);
 
 void BM_CounterDisabled(benchmark::State& state) {
   // The disabled hot path of obs::count: one relaxed atomic bool load and a

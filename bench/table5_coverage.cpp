@@ -7,7 +7,7 @@
 // Run with --no-scan-knowledge for the ablation (funct becomes 0 and
 // coverage may drop). Circuits run as parallel tasks on the global pool
 // (--threads=N); rows STREAM to stdout as the completed prefix of the suite
-// grows (run_suite_tasks_streaming), so a long --corpus run under
+// grows (run_suite_tasks), so a long --corpus run under
 // --time-budget shows its finished rows immediately — while the emitted
 // order stays identical at any thread count; --json=FILE records
 // per-circuit wall time and gate evaluations (BENCH_atpg.json).
@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   std::size_t total_faults = 0, total_detected = 0;
   SatSummary sat_total;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
-  const auto rows = bench::run_suite_rows(
-      args, suite,
+  const auto rows = run_suite_tasks(
+      suite,
       [&](std::size_t i) {
         const bench::Stopwatch sw;
         Row row;

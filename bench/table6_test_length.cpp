@@ -5,7 +5,7 @@
 // and the complete-scan baseline cycles (the paper's [26] column; here our
 // second-approach generator, see DESIGN.md §3). Circuits run as parallel
 // tasks (--threads=N); rows stream to stdout in suite order as the
-// completed prefix grows (run_suite_tasks_streaming).
+// completed prefix grows (run_suite_tasks).
 #include "bench_common.hpp"
 
 #include <iostream>
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   std::size_t total_omit = 0, total_base = 0;
   SatSummary sat_total;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
-  const auto rows = bench::run_suite_rows(
-      args, suite,
+  const auto rows = run_suite_tasks(
+      suite,
       [&](std::size_t i) {
         const bench::Stopwatch sw;
         Row row;

@@ -4,7 +4,7 @@
 // that even tests produced by conventional scan ATPG shrink substantially
 // once scan operations become ordinary vectors. Circuits run as parallel
 // tasks (--threads=N); rows stream to stdout in suite order as the
-// completed prefix grows (run_suite_tasks_streaming).
+// completed prefix grows (run_suite_tasks).
 #include "bench_common.hpp"
 
 #include <iostream>
@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   bench::BenchJson json;
   std::size_t total_omit = 0, total_base = 0;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
-  const auto rows = bench::run_suite_rows(
-      args, suite,
+  const auto rows = run_suite_tasks(
+      suite,
       [&](std::size_t i) {
         const bench::Stopwatch sw;
         Row row;

@@ -5,7 +5,7 @@
 // pairs at speed, scan shifts included), then compact with the same
 // restoration + omission machinery, all under gross-delay semantics.
 // Circuits run as parallel tasks (--threads=N); rows stream to stdout in
-// suite order as the completed prefix grows (run_suite_tasks_streaming).
+// suite order as the completed prefix grows (run_suite_tasks).
 #include "bench_common.hpp"
 
 #include <iostream>
@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   std::size_t total_faults = 0, total_detected = 0;
   SatSummary sat_total;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
-  const auto rows = bench::run_suite_rows(
-      args, suite,
+  const auto rows = run_suite_tasks(
+      suite,
       [&](std::size_t i) {
         const bench::Stopwatch sw;
         Row row;

@@ -208,50 +208,32 @@ TranslateCompactReport run_translate_and_compact(const CircuitArtifacts& a,
   return report;
 }
 
-std::vector<GenerateCompactReport> run_suite_generate_and_compact(
+std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
     const std::string& bench_dir) {
   const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks(suite.size(), [&](std::size_t i) {
-    return run_generate_and_compact(load_circuit(suite[i], bench_dir), cfg);
-  });
-}
-
-std::vector<TranslateCompactReport> run_suite_translate_and_compact(
-    const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
-    const std::string& bench_dir) {
-  const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks(suite.size(), [&](std::size_t i) {
-    return run_translate_and_compact(load_circuit(suite[i], bench_dir), cfg);
-  });
-}
-
-std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact_isolated(
-    const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
-    const std::string& bench_dir) {
-  const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks_isolated(
+  return run_suite_tasks(
       suite,
       [&](std::size_t i) {
         const Netlist c = run_stage(suite[i].name, "load",
                                     [&] { return load_circuit(suite[i], bench_dir); });
         return run_generate_and_compact(c, cfg);
       },
-      cfg.fail_fast);
+      NoEmit{}, cfg.fail_fast);
 }
 
-std::vector<TaskOutcome<TranslateCompactReport>> run_suite_translate_and_compact_isolated(
+std::vector<TaskOutcome<TranslateCompactReport>> run_suite_translate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
     const std::string& bench_dir) {
   const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks_isolated(
+  return run_suite_tasks(
       suite,
       [&](std::size_t i) {
         const Netlist c = run_stage(suite[i].name, "load",
                                     [&] { return load_circuit(suite[i], bench_dir); });
         return run_translate_and_compact(c, cfg);
       },
-      cfg.fail_fast);
+      NoEmit{}, cfg.fail_fast);
 }
 
 }  // namespace uniscan

@@ -180,34 +180,9 @@ TranslateCompactReport run_translate_and_compact(const Netlist& c, const Pipelin
 TranslateCompactReport run_translate_and_compact(const CircuitArtifacts& a,
                                                  const PipelineConfig& config = {});
 
-/// Fan `fn(index)` for index in [0, n) across ThreadPool::global() and merge
-/// the results in input order. Each result is written only into its
-/// task-indexed slot, so the returned vector is bit-identical at any thread
-/// count (the pool's determinism contract, DESIGN.md §5d). Issued from
-/// inside a pool task, the fan-out degenerates to an inline loop.
-template <typename Fn>
-auto run_suite_tasks(std::size_t n, Fn&& fn) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  const obs::TraceSpan span("suite");
-  std::vector<R> out(n);
-  ThreadPool::global().parallel_for(n,
-                                    [&](std::size_t task, std::size_t) { out[task] = fn(task); });
-  return out;
-}
-
-/// Per-circuit parallel versions of the two flows: one task per suite entry,
-/// reports returned in suite order. These back the bench/table5-table8
-/// binaries' --threads=N flag.
-std::vector<GenerateCompactReport> run_suite_generate_and_compact(
-    const std::vector<SuiteEntry>& suite, const PipelineConfig& config = {},
-    const std::string& bench_dir = {});
-std::vector<TranslateCompactReport> run_suite_translate_and_compact(
-    const std::vector<SuiteEntry>& suite, const PipelineConfig& config = {},
-    const std::string& bench_dir = {});
-
-/// Result slot of one isolated suite task: the value when the task finished,
-/// or the failure record when it threw. Exactly one of the two is
-/// meaningful; `value` is default-constructed on failure.
+/// Result slot of one suite task: the value when the task finished, or the
+/// failure record when it threw. Exactly one of the two is meaningful;
+/// `value` is default-constructed on failure.
 template <typename R>
 struct TaskOutcome {
   R value{};
@@ -219,55 +194,39 @@ struct TaskOutcome {
 /// Anchor a suite-wide `time_budget_secs` ONCE: the returned config carries
 /// the started deadline as its parent token (and a zeroed budget), so every
 /// circuit task shares a single clock instead of each re-starting it. The
-/// suite runners below call this themselves; table binaries that fan out
-/// with their own lambdas must call it before the fan-out.
+/// suite flows below call this themselves; table binaries that fan out with
+/// their own lambdas must call it before the fan-out.
 PipelineConfig anchor_suite_budget(const PipelineConfig& config);
 
-/// Failure-isolated fan-out over a suite: like run_suite_tasks, but a task
-/// that throws is captured into its own slot's TaskFailure instead of
-/// aborting the run — the other circuits complete normally and their slots
-/// are bit-identical to a run without the failure (pool determinism
-/// contract, DESIGN.md §5d/§5f). With `fail_fast` the exception escapes
-/// instead (the pool rethrows the LOWEST-index failing task's exception
-/// after draining, deterministically).
-template <typename Fn>
-auto run_suite_tasks_isolated(const std::vector<SuiteEntry>& suite, Fn&& fn,
-                              bool fail_fast = false) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  const obs::TraceSpan span("suite");
-  std::vector<TaskOutcome<R>> out(suite.size());
-  ThreadPool::global().parallel_for(suite.size(), [&](std::size_t task, std::size_t) {
-    try {
-      out[task].value = fn(task);
-    } catch (...) {
-      if (fail_fast) throw;
-      try {
-        throw;
-      } catch (const StageError& e) {
-        out[task].failure = TaskFailure{suite[task].name, e.stage(), e.what()};
-      } catch (const std::exception& e) {
-        out[task].failure = TaskFailure{suite[task].name, "unknown", e.what()};
-      } catch (...) {
-        out[task].failure = TaskFailure{suite[task].name, "unknown", "non-standard exception"};
-      }
-    }
-  });
-  return out;
-}
+/// run_suite_tasks' default emission: ignore every row.
+struct NoEmit {
+  template <typename R>
+  void operator()(std::size_t, const TaskOutcome<R>&) const noexcept {}
+};
 
-/// run_suite_tasks_isolated + ordered streaming: `emit(index, outcome)` is
-/// called for every slot, in suite order, as soon as the completed prefix
-/// grows — a 100-circuit run under --time-budget shows its finished rows
-/// while the stragglers still compute, and the emitted order is identical
-/// to the buffered runners' (the stable-merge contract, DESIGN.md §5d:
-/// emission is keyed on slot index, never on completion order). `emit`
-/// runs under an internal mutex on whichever worker finished the
+/// The suite executor. Fans `fn(index)` for every suite entry across
+/// ThreadPool::global() and returns one TaskOutcome per entry, in suite
+/// order. Each result is written only into its task-indexed slot, so the
+/// outcomes are bit-identical at any thread count (the pool's determinism
+/// contract, DESIGN.md §5d); issued from inside a pool task, the fan-out
+/// degenerates to an inline loop.
+///
+/// Failures are isolated: a task that throws is captured into its own
+/// slot's TaskFailure (stage-tagged when the error is a StageError) and the
+/// other entries complete normally (DESIGN.md §5f). With `fail_fast` the
+/// exception escapes instead — the pool rethrows the LOWEST-index failing
+/// task's exception after draining, deterministically.
+///
+/// Emission streams: `emit(index, outcome)` is called for every slot, in
+/// suite order, as soon as the completed prefix grows, so a long run under
+/// --time-budget shows its finished rows while the stragglers still compute.
+/// Emission is keyed on slot index, never on completion order. `emit` runs
+/// under an internal mutex on whichever worker finished the
 /// prefix-extending task; keep it cheap (format + print one row). With
-/// `fail_fast`, the first (lowest-index) failure escapes after the pool
-/// drains and rows past it are not emitted.
-template <typename Fn, typename Emit>
-auto run_suite_tasks_streaming(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit,
-                               bool fail_fast = false) {
+/// `fail_fast`, rows from the first failure on are not emitted.
+template <typename Fn, typename Emit = NoEmit>
+auto run_suite_tasks(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit = {},
+                     bool fail_fast = false) {
   using R = std::invoke_result_t<Fn&, std::size_t>;
   const obs::TraceSpan span("suite");
   std::vector<TaskOutcome<R>> out(suite.size());
@@ -299,14 +258,15 @@ auto run_suite_tasks_streaming(const std::vector<SuiteEntry>& suite, Fn&& fn, Em
   return out;
 }
 
-/// Isolated + deadline-aware versions of the suite flows. A suite-wide
-/// `time_budget_secs` is anchored ONCE here (not per circuit);
-/// `per_circuit_budget_secs` is anchored inside each circuit's flow. Each
-/// failing circuit becomes a TaskFailure slot; the rest finish normally.
-std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact_isolated(
+/// Per-circuit parallel versions of the two flows over run_suite_tasks: one
+/// isolated, deadline-aware task per suite entry (`config.fail_fast` selects
+/// fail-fast). A suite-wide `time_budget_secs` is anchored ONCE here (not
+/// per circuit); `per_circuit_budget_secs` is anchored inside each
+/// circuit's flow.
+std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config = {},
     const std::string& bench_dir = {});
-std::vector<TaskOutcome<TranslateCompactReport>> run_suite_translate_and_compact_isolated(
+std::vector<TaskOutcome<TranslateCompactReport>> run_suite_translate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config = {},
     const std::string& bench_dir = {});
 

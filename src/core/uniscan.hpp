@@ -41,7 +41,6 @@
 #include "atpg/redundancy.hpp"
 #include "atpg/transition_atpg.hpp"
 #include "sim/transition_sim.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/fault_sim_session.hpp"
 #include "sim/sequence.hpp"

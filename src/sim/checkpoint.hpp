@@ -19,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/logic3.hpp"
@@ -42,6 +43,22 @@ struct SimBatchStateT {
 };
 
 using SimBatchState = SimBatchStateT<std::uint64_t>;
+
+/// Per-pool-worker net-value scratch of the batch runners, one buffer per
+/// slot width so a width switch between calls never reinterprets stale
+/// bytes.
+struct SlotScratch {
+  std::vector<W3T<std::uint64_t>> w64;
+  std::vector<W3T<Simd256>> w256;
+  std::vector<W3T<Simd512>> w512;
+
+  template <class Word>
+  std::vector<W3T<Word>>& get() noexcept {
+    if constexpr (std::is_same_v<Word, Simd256>) return w256;
+    else if constexpr (std::is_same_v<Word, Simd512>) return w512;
+    else return w64;
+  }
+};
 
 template <class Word>
 class CheckpointStoreT {

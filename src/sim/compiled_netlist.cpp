@@ -65,12 +65,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) : nl_(&nl) {
     return a < b;
   });
 
-  std::uint32_t max_level = 0;
-  for (const GateId g : eval_order_) max_level = std::max(max_level, level_[g]);
-  level_begin_.assign(max_level + 2, 0);
-  for (const GateId g : eval_order_) ++level_begin_[level_[g] + 1];
-  for (std::size_t l = 1; l < level_begin_.size(); ++l) level_begin_[l] += level_begin_[l - 1];
-
   runs_ = detail::build_type_runs(eval_order_, type_, level_);
 
   inputs_ = nl.inputs();
@@ -98,15 +92,6 @@ void CompiledNetlist::eval_runs_v3(std::span<const TypeRun> runs, const GateId* 
 void CompiledNetlist::eval_runs_w3(std::span<const TypeRun> runs, const GateId* order,
                                    W3* values) const noexcept {
   detail::eval_type_runs<detail::W3Ops>(runs, order, fanin_off_.data(), fanin_ids_.data(), values);
-}
-
-V3 CompiledNetlist::eval_gate_v3_at(GateId g, const V3* values) const noexcept {
-  return detail::eval_gate_generic<detail::V3Ops>(type_[g], fanin_ids_.data(), fanin_off_[g],
-                                                  fanin_off_[g + 1], values);
-}
-
-W3 CompiledNetlist::eval_gate_w3_at(GateId g, const W3* values) const noexcept {
-  return eval_gate_w3t_at<std::uint64_t>(g, values);
 }
 
 BatchProgram CompiledNetlist::build_program(std::span<const GateId> sites,

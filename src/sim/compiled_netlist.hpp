@@ -7,16 +7,16 @@
 //
 //  * a CSR fanin table (fanin_offsets + flat fanin ids),
 //  * a parallel gate-type array,
-//  * a level-sorted — and within each level type-sorted — evaluation order
-//    with level-bucket ranges, partitioned into homogeneous *type runs* so
-//    a whole run is evaluated by one tight loop with the gate function
-//    hoisted out of it (no per-gate switch),
+//  * a level-sorted — and within each level type-sorted — evaluation order,
+//    partitioned into homogeneous *type runs* so a whole run is evaluated
+//    by one tight loop with the gate function hoisted out of it (no
+//    per-gate switch),
 //  * a CSR fanout table (the canonical adjacency form; the nested-vector
 //    per-gate vector-of-vectors Netlist accessor was removed in its favour).
 //
 // Any topological order yields the same per-net values, so re-sorting
-// within a level by type cannot change results: every engine built on the
-// kernel stays bit-identical to the pre-kernel engines (DESIGN.md §5e).
+// within a level by type cannot change results: everything built on the
+// kernel stays bit-identical to a per-gate topological loop (DESIGN.md §5e).
 //
 // build_program() additionally compiles a per-batch *observation cone*: the
 // union fanout cone of a fault batch (closed over flip-flop crossings) plus
@@ -27,7 +27,6 @@
 // observable result.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -79,7 +78,6 @@ class CompiledNetlist {
 
   const Netlist& netlist() const noexcept { return *nl_; }
   std::size_t num_gates() const noexcept { return type_.size(); }
-  std::size_t num_levels() const noexcept { return level_begin_.size() - 1; }
 
   GateType type(GateId g) const noexcept { return type_[g]; }
   std::uint32_t level(GateId g) const noexcept { return level_[g]; }
@@ -104,8 +102,6 @@ class CompiledNetlist {
   const std::vector<GateId>& eval_order() const noexcept { return eval_order_; }
   /// Homogeneous type runs covering eval_order().
   std::span<const TypeRun> runs() const noexcept { return runs_; }
-  /// eval_order()[level_begin(l) .. level_begin(l+1)) holds level-l gates.
-  std::uint32_t level_begin(std::size_t l) const noexcept { return level_begin_[l]; }
 
   const std::vector<GateId>& inputs() const noexcept { return inputs_; }
   const std::vector<GateId>& outputs() const noexcept { return outputs_; }
@@ -129,13 +125,6 @@ class CompiledNetlist {
   void eval_runs_w3t(std::span<const TypeRun> runs, const GateId* order,
                      W3T<Word>* values) const noexcept;
 
-  /// Generic single-gate evaluation via the CSR tables (event engine and
-  /// forced-gate paths).
-  V3 eval_gate_v3_at(GateId g, const V3* values) const noexcept;
-  W3 eval_gate_w3_at(GateId g, const W3* values) const noexcept;
-  template <class Word>
-  W3T<Word> eval_gate_w3t_at(GateId g, const W3T<Word>* values) const noexcept;
-
   /// Compile a batch plan. `sites` are the gates where fault effects enter
   /// the circuit (the faulted gate itself, for stems and branches alike);
   /// `forced` are the combinational gates that need individual evaluation
@@ -153,7 +142,6 @@ class CompiledNetlist {
   std::vector<std::uint32_t> fanout_off_;
   std::vector<GateId> fanout_ids_;
   std::vector<GateId> eval_order_;
-  std::vector<std::uint32_t> level_begin_;
   std::vector<TypeRun> runs_;
   std::vector<GateId> inputs_, outputs_, dffs_, dff_d_;
 };
@@ -243,44 +231,6 @@ inline void eval_type_runs(std::span<const TypeRun> runs, const GateId* order,
   }
 }
 
-/// Single-gate evaluation over the CSR fanin arrays; the per-gate mirror of
-/// eval_type_runs, shared by the event engine and the forced-gate paths.
-template <typename Ops>
-inline typename Ops::value eval_gate_generic(GateType t, const GateId* ids, std::uint32_t lo,
-                                             std::uint32_t hi,
-                                             const typename Ops::value* v) noexcept {
-  using T = typename Ops::value;
-  switch (t) {
-    case GateType::Buf: return v[ids[lo]];
-    case GateType::Not: return Ops::not_(v[ids[lo]]);
-    case GateType::And:
-    case GateType::Nand: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::and_(acc, v[ids[k]]);
-      return t == GateType::Nand ? Ops::not_(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::or_(acc, v[ids[k]]);
-      return t == GateType::Nor ? Ops::not_(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::xor_(acc, v[ids[k]]);
-      return t == GateType::Xnor ? Ops::not_(acc) : acc;
-    }
-    case GateType::Mux2: return Ops::mux(v[ids[lo]], v[ids[lo + 1]], v[ids[lo + 2]]);
-    case GateType::Const0: return Ops::zero();
-    case GateType::Const1: return Ops::one();
-    case GateType::Input:
-    case GateType::Dff: break;
-  }
-  assert(false && "eval of boundary gate");
-  return Ops::zero();
-}
-
 struct V3Ops {
   using value = V3;
   static V3 not_(V3 a) noexcept { return v3_not(a); }
@@ -315,13 +265,6 @@ inline void CompiledNetlist::eval_runs_w3t(std::span<const TypeRun> runs, const 
                                            W3T<Word>* values) const noexcept {
   detail::eval_type_runs<detail::W3OpsT<Word>>(runs, order, fanin_off_.data(), fanin_ids_.data(),
                                                values);
-}
-
-template <class Word>
-inline W3T<Word> CompiledNetlist::eval_gate_w3t_at(GateId g,
-                                                   const W3T<Word>* values) const noexcept {
-  return detail::eval_gate_generic<detail::W3OpsT<Word>>(type_[g], fanin_ids_.data(),
-                                                         fanin_off_[g], fanin_off_[g + 1], values);
 }
 
 }  // namespace uniscan

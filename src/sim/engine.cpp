@@ -8,8 +8,6 @@
 namespace uniscan {
 
 namespace {
-std::atomic<SimEngine> g_engine{SimEngine::Compiled};
-std::atomic<bool> g_prune{true};
 std::atomic<SlotWidth> g_width{SlotWidth::Auto};
 std::atomic<bool> g_repack{true};
 
@@ -50,35 +48,6 @@ SlotWidth auto_slot_width() noexcept {
   return SlotWidth::W64;
 }
 }  // namespace
-
-void set_global_sim_engine(SimEngine e) noexcept {
-  g_engine.store(e, std::memory_order_relaxed);
-}
-
-SimEngine global_sim_engine() noexcept { return g_engine.load(std::memory_order_relaxed); }
-
-void set_global_cone_pruning(bool on) noexcept {
-  g_prune.store(on, std::memory_order_relaxed);
-}
-
-bool global_cone_pruning() noexcept { return g_prune.load(std::memory_order_relaxed); }
-
-bool parse_sim_engine(std::string_view name, SimEngine& out) noexcept {
-  if (name == "compiled") out = SimEngine::Compiled;
-  else if (name == "levelized") out = SimEngine::Levelized;
-  else if (name == "event") out = SimEngine::Event;
-  else return false;
-  return true;
-}
-
-std::string_view sim_engine_name(SimEngine e) noexcept {
-  switch (e) {
-    case SimEngine::Compiled: return "compiled";
-    case SimEngine::Levelized: return "levelized";
-    case SimEngine::Event: return "event";
-  }
-  return "?";
-}
 
 void set_global_slot_width(SlotWidth w) noexcept {
   g_width.store(w, std::memory_order_relaxed);

@@ -1,20 +1,8 @@
-// Process-wide simulation-kernel configuration.
-//
-// Every batch advance (stuck-at and transition) can run on one of three
-// engines over the same CompiledNetlist tables, all bit-identical in their
-// observable results (detections, latch records, sampled states):
-//
-//  * Compiled  — type-run kernel over the flat evaluation order, with
-//                per-batch observation-cone pruning (the default).
-//  * Levelized — per-gate dispatch over the full evaluation order, the
-//                pre-kernel algorithm kept as a bisection baseline.
-//  * Event     — selective trace: only gates whose fanin words changed
-//                since the previous frame are re-evaluated.
-//
-// The settings are process-wide (like ThreadPool::global()) so the bench
-// binaries can select an engine with --engine=NAME without threading a
-// config through every layer. They are read once at BatchRunner
-// construction; changing them does not affect already-built runners.
+// Process-wide simulation-kernel configuration: the slot-word width of the
+// parallel-fault simulators and live-fault repacking. Both change only how
+// much work a run does, never its results. The settings are process-wide
+// (like ThreadPool::global()) so the bench binaries can select them with a
+// flag without threading a config through every layer.
 #pragma once
 
 #include <cstddef>
@@ -23,28 +11,11 @@
 
 namespace uniscan {
 
-enum class SimEngine : std::uint8_t { Compiled, Levelized, Event };
-
-/// Select the advance engine used by runners built from now on.
-void set_global_sim_engine(SimEngine e) noexcept;
-SimEngine global_sim_engine() noexcept;
-
-/// Enable/disable per-batch observation-cone pruning (Compiled and Event
-/// engines only; Levelized always evaluates the full order).
-void set_global_cone_pruning(bool on) noexcept;
-bool global_cone_pruning() noexcept;
-
-/// Parse "compiled" / "levelized" / "event"; returns false on other input.
-bool parse_sim_engine(std::string_view name, SimEngine& out) noexcept;
-
-/// Printable engine name.
-std::string_view sim_engine_name(SimEngine e) noexcept;
-
 /// Slot-word width of the parallel-fault simulators: how many machines one
 /// W3T word carries (64/256/512, i.e. 63/255/511 faults per batch). Auto
 /// resolves to the widest SIMD level both compiled into this binary
-/// (-mavx2 / -mavx512f) and reported by the CPU, else 64. Like the engine
-/// selection, the width is read once at runner/session construction.
+/// (-mavx2 / -mavx512f) and reported by the CPU, else 64. The width is read
+/// once at runner/session construction.
 enum class SlotWidth : std::uint16_t { Auto = 0, W64 = 64, W256 = 256, W512 = 512 };
 
 /// Select the slot width used by runners and sessions built from now on.

@@ -4,41 +4,39 @@
 // slot-word width (64, 256 or 512 — see sim/slot_word.hpp): bit slot 0 of
 // every W3T word carries the good machine, slots 1..kBits-1 carry one faulty
 // machine each. All machines see the same primary-input vectors; fault
-// effects are injected by forcing the faulted line's value in the
-// corresponding slot. Simulation starts from the all-X power-up state and
-// runs the full sequence.
+// effects are injected into the faulted line's value in the corresponding
+// slot. Simulation starts from the all-X power-up state and runs the full
+// sequence.
 //
 // A fault is *detected* at frame t if some primary output has a known good
 // value and the opposite known value in the fault's slot. The simulator can
 // additionally record where fault effects get *latched* into flip-flops —
 // the hook used by the paper's Section-2 functional scan knowledge.
 //
-// Two layers:
-//  * BatchRunnerT<Word> — the incremental engine for one batch of up to
-//    kBits-1 faults over the CompiledNetlist kernel. The injection tables
-//    (stem forcing per gate, per-pin force tables for branch faults) and the
-//    batch's evaluation program — including the observation-cone pruning
-//    that skips gates no fault of the batch can reach — are built once;
-//    advance() resumes a SimBatchStateT at any frame (checkpoint restarts)
-//    over a copy-free SequenceView, and the net-value scratch is
+// One kernel serves every fault model. A model differs only in how a fault
+// is injected into its slot, so it supplies an Injector (StuckAtModel below,
+// TransitionModel in sim/transition_sim.hpp) and everything else is shared:
+//  * BatchRunnerT<Word, Model> — the incremental engine for one batch of up
+//    to kBits-1 faults over the CompiledNetlist kernel. The injection tables
+//    and the batch's evaluation program — including the observation-cone
+//    pruning that skips gates no fault of the batch can reach — are built
+//    once; advance() resumes a SimBatchStateT at any frame (checkpoint
+//    restarts) over a copy-free SequenceView, and the net-value scratch is
 //    caller-provided so independent batches can run on different threads.
-//    The advance engine (compiled / levelized / event, see sim/engine.hpp)
-//    is latched from the process-wide setting at construction; all three
-//    produce bit-identical detections, latch records and sampled states —
-//    and so do all three widths, because batches never interact and every
-//    per-fault result is a pure function of that fault's slot.
-//  * FaultSimulator — the one-shot API (run / detects_all / run_counts),
-//    fanning its independent batches across ThreadPool::global() at the
-//    process-wide slot width (resolved_slot_width(), read per call).
-//    Results are bit-identical for every thread count: each batch writes
-//    only its own output slots and batches never interact.
+//    Every width produces bit-identical detections, latch records and
+//    sampled states: batches never interact and every per-fault result is a
+//    pure function of that fault's slot.
+//  * FaultSimulatorT<Model> — the one-shot API (run / detects_all /
+//    run_counts), fanning its independent batches across
+//    ThreadPool::global() at the process-wide slot width
+//    (resolved_slot_width_for(), read per call). Results are bit-identical
+//    for every thread count: each batch writes only its own output slots.
+//    FaultSimulator and TransitionFaultSimulator are its two instantiations.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -54,10 +52,10 @@
 namespace uniscan {
 
 /// Batches per wave of the deterministic fail-fast used by detects_all (and
-/// mirrored in the transition simulator and the omission engine): cross-batch
-/// fail flags are only consulted serially BETWEEN waves, so the set of batch
-/// advances that execute — and every obs:: work counter — is a pure function
-/// of the input, independent of thread count and timing.
+/// mirrored in the omission engine): cross-batch fail flags are only
+/// consulted serially BETWEEN waves, so the set of batch advances that
+/// execute — and every obs:: work counter — is a pure function of the input,
+/// independent of thread count and timing.
 inline constexpr std::size_t kFailFastWave = 8;
 
 struct DetectionRecord {
@@ -75,11 +73,90 @@ struct LatchRecord {
   std::uint32_t time = 0;
 };
 
-class FaultSimulator {
+/// Incremental engine for one batch of up to kSlots-1 faults of `Model`.
+/// The injection tables and the batch program are built once at
+/// construction; advance() is allocation-free. A runner may be shared across
+/// trials but is used by one thread at a time. Instantiated for
+/// std::uint64_t, Simd256 and Simd512 with both fault models (explicit
+/// instantiations in fault_sim.cpp).
+template <class Word, class Model>
+class BatchRunnerT {
  public:
-  using fault_type = Fault;
+  using FaultT = typename Model::fault_type;
+  static constexpr unsigned kSlots = WordTraits<Word>::kBits;
+  using State = SimBatchStateT<Word>;
 
-  explicit FaultSimulator(const Netlist& nl);
+  BatchRunnerT(const CompiledNetlist& cnl, std::span<const FaultT> faults);
+
+  std::span<const FaultT> faults() const noexcept { return faults_; }
+  /// Bits 1..faults().size() — the slots this batch must detect.
+  Word slot_mask() const noexcept { return slot_mask_; }
+
+  /// True if advance() maintains DFF j's next state. Always true for the
+  /// unpruned (empty, good-machine) batch; otherwise false exactly for DFFs
+  /// outside the batch's cone-plus-support, whose state equals the good
+  /// machine's by construction (no fault effect can reach them).
+  bool samples_dff(std::size_t j) const noexcept {
+    return !prog_.pruned || prog_.dff_sampled[j] != 0;
+  }
+
+  /// All-X power-up state (and X launch history) with every fault slot live.
+  State initial_state() const;
+
+  struct AdvanceOptions {
+    bool early_exit = true;      // stop once no slot is live
+    std::uint32_t count_cap = 1; // observations until a slot leaves `live`
+    std::span<LatchRecord> latched = {};  // one record per batch fault
+    // Checkpoint capture: while simulating frames f <= capture_limit,
+    // snapshot the state entering f whenever checkpoints->want(f).
+    CheckpointStoreT<Word>* checkpoints = nullptr;
+    std::size_t batch_index = 0;
+    std::size_t capture_limit = 0;
+  };
+
+  /// Simulate frames [s.frame, view.length()) of `view`, updating `s` in
+  /// place. `values` is per-net scratch (resized as needed; contents
+  /// don't matter). Returns the number of gate-word evaluations.
+  /// After an early exit, only the detection fields of `s` are
+  /// meaningful; a state intended for later resumption must come from a
+  /// checkpoint or a non-early-exit run.
+  std::uint64_t advance(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
+                        const AdvanceOptions& opt) const;
+
+ private:
+  std::uint64_t run_frames(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
+                           const AdvanceOptions& opt) const;
+
+  const CompiledNetlist* cnl_;
+  std::span<const FaultT> faults_;
+  Word slot_mask_{};
+  typename Model::template Injector<Word> inj_;
+
+  // Cone-pruned evaluation plan. Combinational gates carrying a branch (pin)
+  // injection (forced_) leave the type runs and are evaluated individually
+  // by the injector; stem-only sites stay inside the runs and get their
+  // output injection patched on afterwards. fix_* is the level-ascending
+  // merge of both fixup streams the kernel walks between type runs:
+  // fix_idx_[i] is a patch gate id when fix_patch_[i], else an index into
+  // forced_.
+  BatchProgram prog_;
+  std::vector<GateId> forced_;
+  std::vector<std::uint32_t> fix_idx_;
+  std::vector<std::uint32_t> fix_level_;
+  std::vector<std::uint8_t> fix_patch_;
+};
+
+/// One-shot parallel-fault simulator over the fault model `Model`.
+template <class Model>
+class FaultSimulatorT {
+ public:
+  using fault_type = typename Model::fault_type;
+  template <class Word>
+  using BatchRunnerT = uniscan::BatchRunnerT<Word, Model>;
+  /// The historical 63-fault runner — the uint64_t instantiation.
+  using BatchRunner = BatchRunnerT<std::uint64_t>;
+
+  explicit FaultSimulatorT(const Netlist& nl);
 
   const Netlist& netlist() const noexcept { return *nl_; }
   const CompiledNetlist& compiled() const noexcept { return *compiled_; }
@@ -87,92 +164,91 @@ class FaultSimulator {
   /// Simulate `seq` against every fault in `faults`. Returns one detection
   /// record per fault (same order). If `latched` is non-null it receives one
   /// latch record per fault.
-  std::vector<DetectionRecord> run(const TestSequence& seq, std::span<const Fault> faults,
+  std::vector<DetectionRecord> run(const TestSequence& seq, std::span<const fault_type> faults,
                                    std::vector<LatchRecord>* latched = nullptr) const;
-  std::vector<DetectionRecord> run(const SequenceView& view, std::span<const Fault> faults,
+  std::vector<DetectionRecord> run(const SequenceView& view, std::span<const fault_type> faults,
                                    std::vector<LatchRecord>* latched = nullptr) const;
 
   /// True iff `seq` detects every fault in `faults`. Early-exits both within
   /// a batch (all slots detected) and across batches (a miss stops scheduling
   /// further kFailFastWave-sized waves — deterministic at any thread count).
-  bool detects_all(const TestSequence& seq, std::span<const Fault> faults) const;
-  bool detects_all(const SequenceView& view, std::span<const Fault> faults) const;
+  bool detects_all(const TestSequence& seq, std::span<const fault_type> faults) const;
+  bool detects_all(const SequenceView& view, std::span<const fault_type> faults) const;
 
   /// Indices (into `faults`) of the faults detected by `seq`.
   std::vector<std::size_t> detected_indices(const TestSequence& seq,
-                                            std::span<const Fault> faults) const;
+                                            std::span<const fault_type> faults) const;
 
   /// Per-fault detection count, saturated at `cap`: the number of frames at
   /// which the fault is observed at some primary output (at most one count
   /// per frame). Used by the n-detect extension.
-  std::vector<std::uint32_t> run_counts(const TestSequence& seq, std::span<const Fault> faults,
+  std::vector<std::uint32_t> run_counts(const TestSequence& seq,
+                                        std::span<const fault_type> faults,
                                         std::uint32_t cap) const;
-  std::vector<std::uint32_t> run_counts(const SequenceView& view, std::span<const Fault> faults,
+  std::vector<std::uint32_t> run_counts(const SequenceView& view,
+                                        std::span<const fault_type> faults,
                                         std::uint32_t cap) const;
 
-  /// Incremental engine for one batch of up to kSlots-1 faults. The
-  /// injection tables and the batch program are built once at construction;
-  /// advance() is allocation-free. A runner may be shared across trials but
-  /// is used by one thread at a time. Instantiated for std::uint64_t,
-  /// Simd256 and Simd512 (explicit instantiations in fault_sim.cpp).
+ private:
+  /// Advance batches [first, last) of `faults` (kBits-1 faults each) from
+  /// power-up across the pool with options `opt` (per-batch latch spans cut
+  /// from `latched` when non-null), then call done(base, runner, state) on
+  /// the worker that ran the batch.
+  template <class Word, class Done>
+  void run_batches(const SequenceView& view, std::span<const fault_type> faults,
+                   std::size_t first, std::size_t last,
+                   const typename BatchRunnerT<Word>::AdvanceOptions& opt,
+                   std::vector<LatchRecord>* latched, Done&& done) const;
+
+  const Netlist* nl_;
+  // Shared one-time compile from Netlist::compiled_shared(): every simulator
+  // over the same Netlist object reuses it instead of recompiling.
+  std::shared_ptr<const CompiledNetlist> compiled_;
+  // Index = ThreadPool worker id.
+  mutable std::vector<SlotScratch> scratch_;
+};
+
+/// Stuck-at injection: static slot-forcing masks on stems, on branch pins of
+/// combinational gates, and on DFF D pins.
+struct StuckAtModel {
+  using fault_type = Fault;
+
   template <class Word>
-  class BatchRunnerT {
+  class Injector {
    public:
-    static constexpr unsigned kSlots = WordTraits<Word>::kBits;
-    using State = SimBatchStateT<Word>;
+    using W = W3T<Word>;
 
-    BatchRunnerT(const CompiledNetlist& cnl, std::span<const Fault> faults);
+    Injector(const CompiledNetlist& cnl, std::span<const Fault> faults);
+    /// Build the per-pin tables of the individually evaluated gates.
+    void bind(const CompiledNetlist& cnl, std::span<const GateId> forced);
 
-    std::span<const Fault> faults() const noexcept { return faults_; }
-    /// Bits 1..faults().size() — the slots this batch must detect.
-    Word slot_mask() const noexcept { return slot_mask_; }
+    bool has_stem(GateId g) const noexcept { return stem_[g].any(); }
+    bool has_branch(GateId g) const noexcept { return branch_head_[g] >= 0; }
+    void init_state(SimBatchStateT<Word>&) const noexcept {}
 
-    /// Engine latched at construction from the process-wide setting.
-    SimEngine engine() const noexcept { return engine_; }
-    /// True when this batch's program skips out-of-cone gates.
-    bool pruned() const noexcept { return prog_.pruned; }
-    /// True if advance() maintains DFF j's next state. Always true without
-    /// pruning; under pruning false exactly for DFFs outside the batch's
-    /// cone-plus-support, whose state equals the good machine's by
-    /// construction (no fault effect can reach them).
-    bool samples_dff(std::size_t j) const noexcept {
-      return !prog_.pruned || prog_.dff_sampled[j] != 0;
+    W boundary(GateId g, W w, SimBatchStateT<Word>&) const noexcept { return stem_[g].apply(w); }
+    void patch(GateId g, W& w, SimBatchStateT<Word>&) const noexcept { w = stem_[g].apply(w); }
+    // Hot: one call per forced gate per frame from the kernel's fixup loop;
+    // inlined there so the wide words never bounce through a
+    // by-hidden-pointer return.
+    [[gnu::always_inline]] W eval_forced(std::size_t k, GateId g, const W* values,
+                                         SimBatchStateT<Word>&) const noexcept;
+    W dff_input(std::size_t j, GateId, W d, SimBatchStateT<Word>&) const noexcept {
+      return dff_force_[j].any() ? dff_force_[j].apply(d) : d;
     }
-
-    /// All-X power-up state with every fault slot live.
-    State initial_state() const;
-
-    struct AdvanceOptions {
-      bool early_exit = true;      // stop once no slot is live
-      std::uint32_t count_cap = 1; // observations until a slot leaves `live`
-      std::span<LatchRecord> latched = {};  // one record per batch fault
-      // Checkpoint capture: while simulating frames f <= capture_limit,
-      // snapshot the state entering f whenever checkpoints->want(f).
-      CheckpointStoreT<Word>* checkpoints = nullptr;
-      std::size_t batch_index = 0;
-      std::size_t capture_limit = 0;
-    };
-
-    /// Simulate frames [s.frame, view.length()) of `view`, updating `s` in
-    /// place. `values` is per-net scratch (resized as needed; contents
-    /// don't matter). Returns the number of gate-word evaluations.
-    /// After an early exit, only the detection fields of `s` are
-    /// meaningful; a state intended for later resumption must come from a
-    /// checkpoint or a non-early-exit run.
-    std::uint64_t advance(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-                          const AdvanceOptions& opt) const;
+    void end_frame(SimBatchStateT<Word>&) const noexcept {}
 
    private:
-    /// Slot-forcing masks for fault injection. Slots listed in set0 are
-    /// forced to 0, slots in set1 to 1; set0 & set1 == 0.
+    /// Slot-forcing masks. Slots listed in set0 are forced to 0, slots in
+    /// set1 to 1; set0 & set1 == 0.
     struct Forcing {
       Word set0{};
       Word set1{};
 
       bool any() const noexcept { return w_any(set0 | set1); }
-      W3T<Word> apply(W3T<Word> w) const noexcept {
+      W apply(W w) const noexcept {
         const Word touched = set0 | set1;
-        return W3T<Word>{(w.v0 & ~touched) | set0, (w.v1 & ~touched) | set1};
+        return W{(w.v0 & ~touched) | set0, (w.v1 & ~touched) | set1};
       }
     };
     struct BranchForce {
@@ -181,88 +257,21 @@ class FaultSimulator {
       Forcing force;
     };
 
-    W3T<Word> branch_force(GateId g, std::size_t pin, W3T<Word> w) const noexcept;
-    // Hot: one call per forced gate per frame from advance_kernel's fixup
-    // loop; inlined there so the wide words never bounce through a
-    // by-hidden-pointer return.
-    [[gnu::always_inline]]
-    W3T<Word> eval_forced(std::size_t k, const W3T<Word>* values) const noexcept;
-    void enqueue_fanouts(GateId g) const;
-    std::uint64_t advance_levelized(State& s, const SequenceView& view,
-                                    std::vector<W3T<Word>>& values,
-                                    const AdvanceOptions& opt) const;
-    std::uint64_t advance_kernel(State& s, const SequenceView& view,
-                                 std::vector<W3T<Word>>& values,
-                                 const AdvanceOptions& opt) const;
-
     const CompiledNetlist* cnl_;
-    const Netlist* nl_;
-    std::span<const Fault> faults_;
-    Word slot_mask_{};
-    SimEngine engine_;
     std::vector<Forcing> stem_;             // indexed by gate
     std::vector<std::int32_t> branch_head_; // per gate: first branch entry or -1
     std::vector<BranchForce> branches_;
-
-    // Compiled/event program: cone-pruned evaluation plan, the comb gates
-    // with a branch (pin) injection (evaluated individually via flat
-    // per-pin force tables), and dense pin-0 forcing for DFF D inputs.
-    // Stem-only sites stay inside the type runs; their output forcing is a
-    // post-run patch. fix_* is the level-ascending merge of both fixup
-    // streams the kernel walks between type runs: fix_idx_[i] is a patch
-    // gate id when fix_patch_[i], else an index into forced_.
-    BatchProgram prog_;
-    std::vector<GateId> forced_;
-    std::vector<std::uint32_t> fix_idx_;
-    std::vector<std::uint32_t> fix_level_;
-    std::vector<std::uint8_t> fix_patch_;
+    // Flat per-pin force tables of the forced gates (identity where no
+    // branch fault sits on a pin), with their any() flags hoisted out of the
+    // per-frame loop, and dense pin-0 forcing for DFF D inputs.
     std::vector<std::uint32_t> pin_off_;    // CSR offsets into pin_force_
     std::vector<Forcing> pin_force_;
     std::vector<std::uint8_t> pin_any_;     // parallel to pin_force_: force.any()
-    std::vector<std::uint8_t> forced_stem_; // parallel to forced_: stem_[g].any()
+    std::vector<std::uint8_t> forced_stem_; // per forced gate: stem_[g].any()
     std::vector<Forcing> dff_force_;        // indexed by DFF index
-    // Event engine bookkeeping (a runner is used by one thread at a time).
-    std::vector<std::uint8_t> in_plan_;     // comb gate participates in plan
-    mutable std::vector<std::vector<GateId>> buckets_;  // by level
-    mutable std::vector<std::uint8_t> queued_;
   };
-
-  /// The historical 63-fault runner — the uint64_t instantiation.
-  using BatchRunner = BatchRunnerT<std::uint64_t>;
-
- private:
-  template <class Word>
-  std::vector<DetectionRecord> run_impl(const SequenceView& view, std::span<const Fault> faults,
-                                        std::vector<LatchRecord>* latched) const;
-  template <class Word>
-  bool detects_all_impl(const SequenceView& view, std::span<const Fault> faults) const;
-  template <class Word>
-  std::vector<std::uint32_t> run_counts_impl(const SequenceView& view,
-                                             std::span<const Fault> faults,
-                                             std::uint32_t cap) const;
-
-  // Per-pool-worker net-value scratch, one buffer per slot width so a width
-  // switch between calls never reinterprets stale bytes.
-  struct Scratch {
-    std::vector<W3T<std::uint64_t>> w64;
-    std::vector<W3T<Simd256>> w256;
-    std::vector<W3T<Simd512>> w512;
-    template <class Word>
-    std::vector<W3T<Word>>& get() noexcept {
-      if constexpr (std::is_same_v<Word, Simd256>) return w256;
-      else if constexpr (std::is_same_v<Word, Simd512>) return w512;
-      else return w64;
-    }
-  };
-  template <class Word>
-  std::vector<W3T<Word>>& scratch_for(std::size_t worker) const;
-
-  const Netlist* nl_;
-  // Shared one-time compile from Netlist::compiled_shared(): every simulator
-  // over the same Netlist object reuses it instead of recompiling.
-  std::shared_ptr<const CompiledNetlist> compiled_;
-  // Index = ThreadPool worker id.
-  mutable std::vector<Scratch> scratch_;
 };
+
+using FaultSimulator = FaultSimulatorT<StuckAtModel>;
 
 }  // namespace uniscan

@@ -210,18 +210,6 @@ class SessionCoreT {
     std::size_t now = 0;
   };
 
-  struct Scratch {
-    std::vector<W3T<std::uint64_t>> w64;
-    std::vector<W3T<Simd256>> w256;
-    std::vector<W3T<Simd512>> w512;
-    template <class Word>
-    std::vector<W3T<Word>>& get() noexcept {
-      if constexpr (std::is_same_v<Word, Simd256>) return w256;
-      else if constexpr (std::is_same_v<Word, Simd512>) return w512;
-      else return w64;
-    }
-  };
-
   template <class Word>
   std::shared_ptr<const PackT<Word>>& cache_slot() noexcept {
     if constexpr (std::is_same_v<Word, Simd256>) return cache256_;
@@ -503,7 +491,7 @@ class SessionCoreT {
   std::shared_ptr<const PackT<Simd512>> cache512_;
   // Per-advance scratch, sized once.
   std::vector<std::size_t> live_idx_;
-  mutable std::vector<Scratch> scratch_;
+  mutable std::vector<SlotScratch> scratch_;
 };
 
 }  // namespace uniscan

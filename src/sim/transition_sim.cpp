@@ -1,552 +1,8 @@
 #include "sim/transition_sim.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <limits>
-#include <stdexcept>
-
-#include "fault/fault.hpp"
-#include "obs/counters.hpp"
-#include "obs/trace.hpp"
-#include "sim/sequential_sim.hpp"
 #include "sim/session_core.hpp"
-#include "util/thread_pool.hpp"
 
 namespace uniscan {
-
-namespace {
-
-/// Faulty slot value under the one-cycle gross-delay model.
-inline V3 delayed_value(bool slow_to_rise, V3 driven_now, V3 driven_prev) noexcept {
-  return slow_to_rise ? v3_and(driven_now, driven_prev) : v3_or(driven_now, driven_prev);
-}
-
-template <class Word>
-Word observed_mask(std::span<const GateId> pos, const std::vector<W3T<Word>>& values) {
-  Word observed{};
-  for (GateId po : pos) {
-    const W3T<Word> w = values[po];
-    const bool good0 = w_bit0(w.v0);
-    const bool good1 = w_bit0(w.v1);
-    if (good1) observed = observed | w.v0;
-    else if (good0) observed = observed | w.v1;
-  }
-  w_clear(observed, 0);
-  return observed;
-}
-
-template <class Word>
-void record_latch(std::span<LatchRecord> latched, const W3T<Word> w, std::size_t j,
-                  std::size_t t) {
-  const bool good0 = w_bit0(w.v0);
-  const bool good1 = w_bit0(w.v1);
-  Word diff{};
-  if (good1) diff = w.v0;
-  else if (good0) diff = w.v1;
-  w_clear(diff, 0);
-  w_for_each_set(diff, [&](unsigned slot) {
-    LatchRecord& lr = latched[slot - 1];
-    // Keep the occurrence deepest in the chain (fewest flush shifts).
-    if (!lr.latched || j >= lr.ff_index) {
-      lr.latched = true;
-      lr.ff_index = static_cast<std::uint32_t>(j);
-      lr.time = static_cast<std::uint32_t>(t);
-    }
-  });
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// BatchRunnerT
-
-template <class Word>
-TransitionFaultSimulator::BatchRunnerT<Word>::BatchRunnerT(
-    const CompiledNetlist& cnl, std::span<const TransitionFault> faults)
-    : cnl_(&cnl), nl_(&cnl.netlist()), faults_(faults), engine_(global_sim_engine()) {
-  if (faults.size() > kSlots - 1) throw std::invalid_argument("BatchRunner: batch too large");
-  const std::size_t n = cnl.num_gates();
-  stem_head_.assign(n, kNone);
-  branch_head_.assign(n, kNone);
-  next_.assign(faults.size(), kNone);
-  pending_.assign(faults.size(), V3::X);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const TransitionFault& f = faults[i];
-    w_set(slot_mask_, static_cast<unsigned>(i + 1));
-    auto& head = (f.pin == kStemPin) ? stem_head_ : branch_head_;
-    next_[i] = head[f.gate];
-    head[f.gate] = static_cast<std::int32_t>(i);
-  }
-
-  if (engine_ == SimEngine::Levelized) return;  // legacy path needs no program
-
-  // Branch (pin) injections need an individual evaluation; a stem-only
-  // site keeps its type-run evaluation and has its slot rewrites (plus the
-  // launch-history refresh) patched on afterwards.
-  std::vector<GateId> sites;
-  sites.reserve(faults.size());
-  std::vector<std::uint8_t> mark(n, 0);
-  for (const TransitionFault& f : faults_) {
-    sites.push_back(f.gate);
-    if (mark[f.gate]) continue;
-    mark[f.gate] = 1;
-    if (!is_combinational(cnl.type(f.gate))) continue;
-    if (branch_head_[f.gate] != kNone) forced_.push_back(f.gate);
-    else if (stem_head_[f.gate] != kNone) patched_.push_back(f.gate);
-  }
-  // Boundary-gate stem forcing runs from these lists each frame, in the
-  // legacy order (DFFs, then PIs).
-  for (const GateId d : cnl.dffs())
-    if (stem_head_[d] != kNone) bstem_dff_.push_back(d);
-  for (const GateId p : cnl.inputs())
-    if (stem_head_[p] != kNone) bstem_pi_.push_back(p);
-
-  prog_ = cnl.build_program(sites, forced_, global_cone_pruning());
-
-  // Level-ascending merge of the two fixup streams (see the stuck-at
-  // runner's constructor for the ordering argument).
-  std::stable_sort(patched_.begin(), patched_.end(),
-                   [&](GateId a, GateId b) { return cnl.level(a) < cnl.level(b); });
-  {
-    const std::size_t nf = prog_.forced_order.size();
-    std::size_t fi = 0, pi = 0;
-    constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-    while (fi < nf || pi < patched_.size()) {
-      const std::uint32_t flv = fi < nf ? prog_.forced_level[fi] : kMax;
-      const std::uint32_t plv = pi < patched_.size() ? cnl.level(patched_[pi]) : kMax;
-      if (plv < flv) {
-        fix_idx_.push_back(patched_[pi++]);
-        fix_level_.push_back(plv);
-        fix_patch_.push_back(1);
-      } else {
-        fix_idx_.push_back(prog_.forced_order[fi++]);
-        fix_level_.push_back(flv);
-        fix_patch_.push_back(0);
-      }
-    }
-  }
-
-  if (engine_ == SimEngine::Event) {
-    in_plan_.assign(n, 0);
-    for (const GateId g : prog_.eval) in_plan_[g] = 1;
-    for (const GateId g : forced_) in_plan_[g] = 1;
-    buckets_.assign(cnl.num_levels(), {});
-    queued_.assign(n, 0);
-  }
-}
-
-template <class Word>
-SimBatchStateT<Word> TransitionFaultSimulator::BatchRunnerT<Word>::initial_state() const {
-  State s;
-  s.live = slot_mask_;
-  s.state.assign(nl_->num_dffs(), W3T<Word>::all_x());
-  s.prev_driven.assign(faults_.size(), V3::X);
-  return s;
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::apply_stems_value(GateId g, State& s,
-                                                                     W3T<Word>& w) const {
-  for (std::int32_t i = stem_head_[g]; i != kNone; i = next_[i]) {
-    const unsigned slot = static_cast<unsigned>(i + 1);
-    const V3 now = w.get(slot);
-    w.set(slot, delayed_value(faults_[i].slow_to_rise, now, s.prev_driven[i]));
-    pending_[i] = now;
-  }
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::apply_branches(
-    GateId g, W3T<Word>* fanin_buf, std::size_t n, State& s,
-    const std::vector<W3T<Word>>& values) const {
-  for (std::int32_t i = branch_head_[g]; i != kNone; i = next_[i]) {
-    const TransitionFault& f = faults_[i];
-    const std::size_t p = static_cast<std::size_t>(f.pin);
-    if (p >= n) continue;
-    const unsigned slot = static_cast<unsigned>(i + 1);
-    const V3 now = values[nl_->gate(g).fanins[p]].get(slot);
-    fanin_buf[p].set(slot, delayed_value(f.slow_to_rise, now, s.prev_driven[i]));
-    pending_[i] = now;
-  }
-}
-
-template <class Word>
-W3T<Word> TransitionFaultSimulator::BatchRunnerT<Word>::eval_forced(
-    GateId g, State& s, const std::vector<W3T<Word>>& values) const {
-  const auto fan = cnl_->fanins(g);
-  W3T<Word> buf[64];
-  for (std::size_t p = 0; p < fan.size(); ++p) buf[p] = values[fan[p]];
-  if (branch_head_[g] != kNone) apply_branches(g, buf, fan.size(), s, values);
-  W3T<Word> w = eval_gate_w3(cnl_->type(g), buf, fan.size());
-  if (stem_head_[g] != kNone) apply_stems_value(g, s, w);
-  return w;
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::enqueue(GateId g) const {
-  if (queued_[g]) return;
-  queued_[g] = 1;
-  buckets_[cnl_->level(g)].push_back(g);
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::enqueue_fanouts(GateId g) const {
-  for (const GateId fo : cnl_->fanouts(g)) {
-    if (!is_combinational(cnl_->type(fo))) continue;  // DFFs sampled at frame end
-    if (in_plan_[fo]) enqueue(fo);
-  }
-}
-
-template <class Word>
-std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  // Single telemetry choke point (same contract as FaultSimulator's runner):
-  // every simulated gate-word evaluation in the transition model flows
-  // through here, so the registry's gate_evals total matches the sum the old
-  // per-object counters reported.
-  const std::size_t start_frame = s.frame;
-  const std::uint64_t evals = engine_ == SimEngine::Levelized
-                                  ? advance_levelized(s, view, values, opt)
-                                  : advance_kernel(s, view, values, opt);
-  obs::count(obs::Counter::BatchesRun, 1);
-  obs::count(obs::Counter::GateEvals, evals);
-  if (prog_.pruned) {
-    const std::uint64_t frames = s.frame - start_frame;
-    const std::uint64_t full = cnl_->eval_order().size();
-    if (full > prog_.evals_per_frame)
-      obs::count(obs::Counter::ConePruneHits, frames * (full - prog_.evals_per_frame));
-  }
-  return evals;
-}
-
-template <class Word>
-std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_kernel(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  using W = W3T<Word>;
-  const CompiledNetlist& cnl = *cnl_;
-  values.resize(cnl.num_gates());
-  const auto& inputs = cnl.inputs();
-  const auto& dffs = cnl.dffs();
-  const auto& dff_d = cnl.dff_d();
-  const bool event = engine_ == SimEngine::Event;
-  std::uint64_t evals = 0;
-  // The scratch is shared between runners on a worker thread, so the event
-  // engine's first frame of every advance is a full evaluation.
-  bool full = true;
-
-  for (std::size_t t = s.frame; t < view.length(); ++t) {
-    if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
-      s.frame = t;  // snapshot the state (and launch history) entering frame t
-      opt.checkpoints->save(opt.batch_index, s);
-    }
-
-    const auto& vec = view.vector_at(t);
-    if (!event || full) {
-      full = false;
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        values[inputs[i]] = W::broadcast(vec[i]);
-      for (const std::uint32_t j : prog_.samp_dff) values[dffs[j]] = s.state[j];
-      // Stem faults on boundary gates force before combinational evaluation
-      // (a stem-faulted boundary is a fault site, hence always in-plan).
-      for (const GateId g : bstem_dff_) apply_stems(g, s, values);
-      for (const GateId g : bstem_pi_) apply_stems(g, s, values);
-
-      // Type runs and fixups (individually-forced gates + stem patches),
-      // interleaved level-major (see FaultSimulator::BatchRunnerT's
-      // advance_kernel). A stem patch rewrites the faulted slots of the
-      // run-computed value in place and refreshes the launch history.
-      std::size_t fi = 0, ri = 0;
-      const std::size_t nf = fix_idx_.size();
-      const std::size_t nr = prog_.runs.size();
-      while (ri < nr || fi < nf) {
-        const std::uint32_t fl =
-            fi < nf ? fix_level_[fi] : std::numeric_limits<std::uint32_t>::max();
-        std::size_t rj = ri;
-        while (rj < nr && prog_.runs[rj].level <= fl) ++rj;
-        if (rj > ri) {
-          cnl.eval_runs_w3t<Word>(std::span<const TypeRun>(prog_.runs.data() + ri, rj - ri),
-                                  prog_.eval.data(), values.data());
-          ri = rj;
-        }
-        const std::uint32_t rl =
-            ri < nr ? prog_.runs[ri].level : std::numeric_limits<std::uint32_t>::max();
-        while (fi < nf && fix_level_[fi] < rl) {
-          if (fix_patch_[fi]) {
-            apply_stems(fix_idx_[fi], s, values);
-          } else {
-            const GateId g = forced_[fix_idx_[fi]];
-            values[g] = eval_forced(g, s, values);
-          }
-          ++fi;
-        }
-      }
-      evals += prog_.evals_per_frame;
-    } else {
-      // The forced value at an injection site depends on prev_driven, so
-      // every site re-evaluates each frame even with quiet fanins — this
-      // also refreshes its launch history. Boundary sites refresh theirs in
-      // the (unconditional) stem application below.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const GateId g = inputs[i];
-        W w = W::broadcast(vec[i]);
-        if (stem_head_[g] != kNone) apply_stems_value(g, s, w);
-        if (!(w == values[g])) {
-          values[g] = w;
-          enqueue_fanouts(g);
-        }
-      }
-      for (const std::uint32_t j : prog_.samp_dff) {
-        const GateId g = dffs[j];
-        W w = s.state[j];
-        if (stem_head_[g] != kNone) apply_stems_value(g, s, w);
-        if (!(w == values[g])) {
-          values[g] = w;
-          enqueue_fanouts(g);
-        }
-      }
-      for (const GateId g : forced_) enqueue(g);
-      for (const GateId g : patched_) enqueue(g);  // stem history refresh
-      for (auto& bucket : buckets_) {
-        // Draining may append to HIGHER buckets only (fanout level > level).
-        for (std::size_t k = 0; k < bucket.size(); ++k) {
-          const GateId g = bucket[k];
-          queued_[g] = 0;
-          ++evals;
-          const W w = (branch_head_[g] != kNone || stem_head_[g] != kNone)
-                          ? eval_forced(g, s, values)
-                          : cnl.eval_gate_w3t_at<Word>(g, values.data());
-          if (!(w == values[g])) {
-            values[g] = w;
-            enqueue_fanouts(g);
-          }
-        }
-        bucket.clear();
-      }
-    }
-
-    // Next state of the sampled DFFs (with branch forcing on D pins), then
-    // commit the launch histories — every injection site was refreshed above
-    // or is a DFF D pin refreshed here.
-    for (const std::uint32_t j : prog_.samp_dff) {
-      const GateId ff = dffs[j];
-      W d = values[dff_d[j]];
-      if (branch_head_[ff] != kNone) {
-        W buf[1] = {d};
-        apply_branches(ff, buf, 1, s, values);
-        d = buf[0];
-      }
-      s.state[j] = d;
-    }
-    for (std::size_t i = 0; i < faults_.size(); ++i) s.prev_driven[i] = pending_[i];
-
-    const Word newly = observed_mask(prog_.obs_po, values) & s.live;
-    w_for_each_set(newly, [&](unsigned slot) {
-      w_set(s.detected_slots, slot);
-      s.detect_time[slot] = static_cast<std::uint32_t>(t);
-      s.detect_count[slot] = 1;
-      w_clear(s.live, slot);
-    });
-    if (opt.early_exit && !w_any(s.live)) {
-      s.frame = t + 1;
-      return evals;
-    }
-    if (!opt.latched.empty())
-      for (const std::uint32_t j : prog_.latch_dff)
-        record_latch(opt.latched, s.state[j], j, t);
-  }
-
-  s.frame = view.length();
-  return evals;
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::run_frame(
-    State& s, const std::vector<V3>& pi, std::vector<W3T<Word>>& values) const {
-  using W = W3T<Word>;
-  const Netlist& nl = *nl_;
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-    values[nl.inputs()[i]] = W::broadcast(pi[i]);
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j) values[nl.dffs()[j]] = s.state[j];
-
-  // Stem faults on boundary gates force before combinational evaluation.
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j)
-    if (stem_head_[nl.dffs()[j]] != kNone) apply_stems(nl.dffs()[j], s, values);
-  for (GateId pi_gate : nl.inputs())
-    if (stem_head_[pi_gate] != kNone) apply_stems(pi_gate, s, values);
-
-  W fanin_buf[64];
-  for (GateId g : nl.topo_order()) {
-    const Gate& gate = nl.gate(g);
-    const std::size_t n = gate.fanins.size();
-    for (std::size_t p = 0; p < n; ++p) fanin_buf[p] = values[gate.fanins[p]];
-    if (branch_head_[g] != kNone) apply_branches(g, fanin_buf, n, s, values);
-    values[g] = eval_gate_w3(gate.type, fanin_buf, n);
-    if (stem_head_[g] != kNone) apply_stems(g, s, values);
-  }
-
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-    const GateId ff = nl.dffs()[j];
-    W d = values[nl.gate(ff).fanins[0]];
-    if (branch_head_[ff] != kNone) {
-      W buf[1] = {d};
-      apply_branches(ff, buf, 1, s, values);
-      d = buf[0];
-    }
-    s.state[j] = d;
-  }
-
-  // Commit launch histories (every fault site is evaluated every frame, so
-  // every pending entry was refreshed above).
-  for (std::size_t i = 0; i < faults_.size(); ++i) s.prev_driven[i] = pending_[i];
-}
-
-template <class Word>
-std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_levelized(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  const Netlist& nl = *nl_;
-  values.resize(nl.num_gates());
-  std::uint64_t frames = 0;
-
-  for (std::size_t t = s.frame; t < view.length(); ++t) {
-    if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
-      s.frame = t;  // snapshot the state (and launch history) entering frame t
-      opt.checkpoints->save(opt.batch_index, s);
-    }
-
-    run_frame(s, view.vector_at(t), values);
-    ++frames;
-
-    const Word newly = observed_mask(nl.outputs(), values) & s.live;
-    w_for_each_set(newly, [&](unsigned slot) {
-      w_set(s.detected_slots, slot);
-      s.detect_time[slot] = static_cast<std::uint32_t>(t);
-      s.detect_count[slot] = 1;
-      w_clear(s.live, slot);
-    });
-    if (opt.early_exit && !w_any(s.live)) {
-      s.frame = t + 1;
-      return frames * nl.topo_order().size();
-    }
-    if (!opt.latched.empty())
-      for (std::size_t j = 0; j < nl.num_dffs(); ++j)
-        record_latch(opt.latched, s.state[j], j, t);
-  }
-
-  s.frame = view.length();
-  return frames * nl.topo_order().size();
-}
-
-template class TransitionFaultSimulator::BatchRunnerT<std::uint64_t>;
-template class TransitionFaultSimulator::BatchRunnerT<Simd256>;
-template class TransitionFaultSimulator::BatchRunnerT<Simd512>;
-
-// ---------------------------------------------------------------------------
-// TransitionFaultSimulator
-
-TransitionFaultSimulator::TransitionFaultSimulator(const Netlist& nl)
-    : nl_(&nl), compiled_(nl.compiled_shared()) {}
-
-std::vector<DetectionRecord> TransitionFaultSimulator::run(
-    const TestSequence& seq, std::span<const TransitionFault> faults,
-    std::vector<LatchRecord>* latched) const {
-  return run(SequenceView(seq), faults, latched);
-}
-
-std::vector<DetectionRecord> TransitionFaultSimulator::run(
-    const SequenceView& view, std::span<const TransitionFault> faults,
-    std::vector<LatchRecord>* latched) const {
-  switch (resolved_slot_width_for(faults.size())) {
-    case SlotWidth::W256: return run_impl<Simd256>(view, faults, latched);
-    case SlotWidth::W512: return run_impl<Simd512>(view, faults, latched);
-    default: return run_impl<std::uint64_t>(view, faults, latched);
-  }
-}
-
-template <class Word>
-std::vector<DetectionRecord> TransitionFaultSimulator::run_impl(
-    const SequenceView& view, std::span<const TransitionFault> faults,
-    std::vector<LatchRecord>* latched) const {
-  constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
-  std::vector<DetectionRecord> out(faults.size());
-  if (latched) latched->assign(faults.size(), LatchRecord{});
-  const std::size_t num_batches = (faults.size() + kPer - 1) / kPer;
-  ThreadPool& pool = ThreadPool::global();
-  if (scratch_.size() < pool.num_workers()) scratch_.resize(pool.num_workers());
-  pool.parallel_for(num_batches, [&](std::size_t b, std::size_t w) {
-    const std::size_t base = b * kPer;
-    const std::size_t count = std::min<std::size_t>(kPer, faults.size() - base);
-    BatchRunnerT<Word> runner(*compiled_, faults.subspan(base, count));
-    SimBatchStateT<Word> s = runner.initial_state();
-    typename BatchRunnerT<Word>::AdvanceOptions opt;
-    opt.early_exit = latched == nullptr;
-    if (latched) opt.latched = std::span<LatchRecord>(latched->data() + base, count);
-    runner.advance(s, view, scratch_[w].get<Word>(), opt);
-    for (std::size_t i = 0; i < count; ++i) {
-      const unsigned slot = static_cast<unsigned>(i + 1);
-      if (w_test(s.detected_slots, slot)) {
-        out[base + i].detected = true;
-        out[base + i].time = s.detect_time[slot];
-      }
-    }
-  });
-  return out;
-}
-
-bool TransitionFaultSimulator::detects_all(const TestSequence& seq,
-                                           std::span<const TransitionFault> faults) const {
-  return detects_all(SequenceView(seq), faults);
-}
-
-bool TransitionFaultSimulator::detects_all(const SequenceView& view,
-                                           std::span<const TransitionFault> faults) const {
-  switch (resolved_slot_width_for(faults.size())) {
-    case SlotWidth::W256: return detects_all_impl<Simd256>(view, faults);
-    case SlotWidth::W512: return detects_all_impl<Simd512>(view, faults);
-    default: return detects_all_impl<std::uint64_t>(view, faults);
-  }
-}
-
-template <class Word>
-bool TransitionFaultSimulator::detects_all_impl(const SequenceView& view,
-                                                std::span<const TransitionFault> faults) const {
-  constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
-  const std::size_t num_batches = (faults.size() + kPer - 1) / kPer;
-  ThreadPool& pool = ThreadPool::global();
-  if (scratch_.size() < pool.num_workers()) scratch_.resize(pool.num_workers());
-  // Wave-scheduled deterministic fail-fast; see FaultSimulator::detects_all.
-  bool ok = true;
-  for (std::size_t wave = 0; wave < num_batches && ok; wave += kFailFastWave) {
-    const std::size_t n = std::min(kFailFastWave, num_batches - wave);
-    std::atomic<bool> wave_ok{true};
-    pool.parallel_for(n, [&](std::size_t k, std::size_t w) {
-      const std::size_t base = (wave + k) * kPer;
-      const std::size_t count = std::min<std::size_t>(kPer, faults.size() - base);
-      BatchRunnerT<Word> runner(*compiled_, faults.subspan(base, count));
-      SimBatchStateT<Word> s = runner.initial_state();
-      runner.advance(s, view, scratch_[w].get<Word>(), {});
-      if (!((s.detected_slots & runner.slot_mask()) == runner.slot_mask()))
-        wave_ok.store(false, std::memory_order_relaxed);
-    });
-    ok = wave_ok.load(std::memory_order_relaxed);
-  }
-  return ok;
-}
-
-std::vector<std::size_t> TransitionFaultSimulator::detected_indices(
-    const TestSequence& seq, std::span<const TransitionFault> faults) const {
-  std::vector<std::size_t> out;
-  const auto records = run(seq, faults);
-  for (std::size_t i = 0; i < records.size(); ++i)
-    if (records[i].detected) out.push_back(i);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// TransitionSimSession
 
 struct TransitionSimSession::Impl : SessionCoreT<TransitionFaultSimulator> {
   Impl(const Netlist& nl, std::span<const TransitionFault> faults)

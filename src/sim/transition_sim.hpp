@@ -1,133 +1,69 @@
 // Parallel-fault sequential simulation for transition (gross-delay) faults.
 //
-// Same machines-per-slot-word organisation as FaultSimulator (63/255/511
-// faulty machines per batch depending on the slot width); the injected
-// value is dynamic: each faulty slot remembers the faulted line's driven
-// value from the previous cycle and forces
+// The transition model plugged into the shared fault-simulation kernel
+// (sim/fault_sim.hpp): same machines-per-slot-word organisation, same batch
+// runner, one-shot front end, cone pruning and width dispatch. Only the
+// injection differs — it is dynamic: each faulty slot remembers the faulted
+// line's driven value from the previous cycle and forces
 //     STR: and(driven(t), driven(t-1))     STF: or(driven(t), driven(t-1))
-// onto its slot. Slot 0 remains the good machine.
-//
-// Mirrors FaultSimulator's two-layer structure: BatchRunnerT<Word> is the
-// incremental per-batch engine (checkpoint-resumable over a SequenceView,
-// caller-provided scratch) built on the CompiledNetlist kernel with the same
-// engine selection and observation-cone pruning; the one-shot
-// run/detects_all fan batches across ThreadPool::global() at the
-// process-wide slot width, with bit-identical results at any thread count
-// and any width. The launch history (previous driven value per fault) is
-// part of SimBatchStateT::prev_driven so checkpoints capture it.
-//
-// Unlike the stuck-at engine's static forcing, a transition fault's forced
-// value depends on prev_driven, so the event engine re-evaluates every
-// injection site each frame even when its fanins are quiet — both to track
-// the forced value and to refresh the launch history.
+// onto its slot. Slot 0 remains the good machine. The launch history
+// (previous driven value per fault) is part of SimBatchStateT::prev_driven so
+// checkpoints capture it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "fault/transition_fault.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/compiled_netlist.hpp"
-#include "sim/engine.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/sequence.hpp"
-#include "sim/sequence_view.hpp"
 #include "sim/sequential_sim.hpp"
 #include "sim/slot_word.hpp"
 
 namespace uniscan {
 
-class TransitionFaultSimulator {
- public:
+/// Transition injection: the launch-gated delayed value on stems, branch
+/// pins and DFF D pins, and the end-of-frame launch-history commit.
+struct TransitionModel {
   using fault_type = TransitionFault;
 
-  explicit TransitionFaultSimulator(const Netlist& nl);
-
-  const Netlist& netlist() const noexcept { return *nl_; }
-  const CompiledNetlist& compiled() const noexcept { return *compiled_; }
-
-  /// Simulate from power-up; one detection record per fault.
-  std::vector<DetectionRecord> run(const TestSequence& seq,
-                                   std::span<const TransitionFault> faults,
-                                   std::vector<LatchRecord>* latched = nullptr) const;
-  std::vector<DetectionRecord> run(const SequenceView& view,
-                                   std::span<const TransitionFault> faults,
-                                   std::vector<LatchRecord>* latched = nullptr) const;
-
-  bool detects_all(const TestSequence& seq, std::span<const TransitionFault> faults) const;
-  bool detects_all(const SequenceView& view, std::span<const TransitionFault> faults) const;
-
-  std::vector<std::size_t> detected_indices(const TestSequence& seq,
-                                            std::span<const TransitionFault> faults) const;
-
-  /// Incremental engine for one batch of up to kSlots-1 transition faults;
-  /// see FaultSimulator::BatchRunnerT for the contract. Instantiated for
-  /// std::uint64_t, Simd256 and Simd512 (explicit instantiations in
-  /// transition_sim.cpp).
   template <class Word>
-  class BatchRunnerT {
+  class Injector {
    public:
-    static constexpr unsigned kSlots = WordTraits<Word>::kBits;
-    using State = SimBatchStateT<Word>;
+    using W = W3T<Word>;
 
-    BatchRunnerT(const CompiledNetlist& cnl, std::span<const TransitionFault> faults);
+    Injector(const CompiledNetlist& cnl, std::span<const TransitionFault> faults);
+    void bind(const CompiledNetlist&, std::span<const GateId>) noexcept {}
 
-    std::span<const TransitionFault> faults() const noexcept { return faults_; }
-    Word slot_mask() const noexcept { return slot_mask_; }
+    bool has_stem(GateId g) const noexcept { return stem_head_[g] != kNone; }
+    bool has_branch(GateId g) const noexcept { return branch_head_[g] != kNone; }
+    void init_state(SimBatchStateT<Word>& s) const;
 
-    SimEngine engine() const noexcept { return engine_; }
-    bool pruned() const noexcept { return prog_.pruned; }
-    /// See FaultSimulator::BatchRunnerT::samples_dff.
-    bool samples_dff(std::size_t j) const noexcept {
-      return !prog_.pruned || prog_.dff_sampled[j] != 0;
+    W boundary(GateId g, W w, SimBatchStateT<Word>& s) const {
+      if (has_stem(g)) patch(g, w, s);
+      return w;
     }
-
-    /// All-X power-up state, X launch history, every fault slot live.
-    State initial_state() const;
-
-    struct AdvanceOptions {
-      bool early_exit = true;
-      std::span<LatchRecord> latched = {};
-      CheckpointStoreT<Word>* checkpoints = nullptr;
-      std::size_t batch_index = 0;
-      std::size_t capture_limit = 0;
-    };
-
-    std::uint64_t advance(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-                          const AdvanceOptions& opt) const;
+    /// Rewrite the faulted slots of `g`'s driven value and record the
+    /// launch values.
+    void patch(GateId g, W& w, SimBatchStateT<Word>& s) const;
+    W eval_forced(std::size_t k, GateId g, const W* values, SimBatchStateT<Word>& s) const;
+    W dff_input(std::size_t j, GateId ff, W d, SimBatchStateT<Word>& s) const;
+    /// Commit the launch values captured this frame into s.prev_driven.
+    void end_frame(SimBatchStateT<Word>& s) const;
 
    private:
     static constexpr std::int32_t kNone = -1;
 
-    void run_frame(State& s, const std::vector<V3>& pi, std::vector<W3T<Word>>& values) const;
-    void apply_stems_value(GateId g, State& s, W3T<Word>& w) const;
-    void apply_stems(GateId g, State& s, std::vector<W3T<Word>>& values) const {
-      apply_stems_value(g, s, values[g]);
-    }
-    void apply_branches(GateId g, W3T<Word>* fanin_buf, std::size_t n, State& s,
-                        const std::vector<W3T<Word>>& values) const;
-    /// Evaluate one injection-carrying combinational gate (branch forcing on
-    /// its fanins, stem forcing on its output); refreshes launch histories.
-    W3T<Word> eval_forced(GateId g, State& s, const std::vector<W3T<Word>>& values) const;
-    void enqueue(GateId g) const;
-    void enqueue_fanouts(GateId g) const;
-    std::uint64_t advance_levelized(State& s, const SequenceView& view,
-                                    std::vector<W3T<Word>>& values,
-                                    const AdvanceOptions& opt) const;
-    std::uint64_t advance_kernel(State& s, const SequenceView& view,
-                                 std::vector<W3T<Word>>& values,
-                                 const AdvanceOptions& opt) const;
+    /// Apply g's branch faults on pins < n of `pins` (in place).
+    void apply_branches(GateId g, W* pins, std::size_t n, SimBatchStateT<Word>& s) const;
 
     const CompiledNetlist* cnl_;
-    const Netlist* nl_;
     std::span<const TransitionFault> faults_;
-    Word slot_mask_{};
-    SimEngine engine_;
     // A line carries up to two faults (STR and STF) per batch; both stem and
     // branch faults are chained in per-gate intrusive lists.
     std::vector<std::int32_t> stem_head_;    // per gate -> fault index
@@ -137,55 +73,10 @@ class TransitionFaultSimulator {
     // committed into SimBatchStateT::prev_driven at frame end. Scratch: a
     // runner is used by one thread at a time.
     mutable std::vector<V3> pending_;
-
-    // Compiled/event program (see FaultSimulator::BatchRunnerT). Boundary
-    // gates carrying stem faults are listed once so the per-frame forcing
-    // pass doesn't scan all boundaries.
-    // forced_ holds only gates with branch (pin) faults; stem-only sites
-    // stay inside the type runs (patched_) and get their slot rewrites
-    // applied level-interleaved. fix_* merges both fixup streams
-    // level-ascending: fix_idx_[i] is a patch gate id when fix_patch_[i],
-    // else an index into forced_.
-    BatchProgram prog_;
-    std::vector<GateId> forced_;
-    std::vector<GateId> patched_;
-    std::vector<std::uint32_t> fix_idx_;
-    std::vector<std::uint32_t> fix_level_;
-    std::vector<std::uint8_t> fix_patch_;
-    std::vector<GateId> bstem_dff_;  // DFF gates with stem faults
-    std::vector<GateId> bstem_pi_;   // PI gates with stem faults
-    std::vector<std::uint8_t> in_plan_;
-    mutable std::vector<std::vector<GateId>> buckets_;
-    mutable std::vector<std::uint8_t> queued_;
   };
-
-  /// The historical 63-fault runner — the uint64_t instantiation.
-  using BatchRunner = BatchRunnerT<std::uint64_t>;
-
- private:
-  template <class Word>
-  std::vector<DetectionRecord> run_impl(const SequenceView& view,
-                                        std::span<const TransitionFault> faults,
-                                        std::vector<LatchRecord>* latched) const;
-  template <class Word>
-  bool detects_all_impl(const SequenceView& view, std::span<const TransitionFault> faults) const;
-
-  struct Scratch {
-    std::vector<W3T<std::uint64_t>> w64;
-    std::vector<W3T<Simd256>> w256;
-    std::vector<W3T<Simd512>> w512;
-    template <class Word>
-    std::vector<W3T<Word>>& get() noexcept {
-      if constexpr (std::is_same_v<Word, Simd256>) return w256;
-      else if constexpr (std::is_same_v<Word, Simd512>) return w512;
-      else return w64;
-    }
-  };
-
-  const Netlist* nl_;
-  std::shared_ptr<const CompiledNetlist> compiled_;
-  mutable std::vector<Scratch> scratch_;  // per pool worker
 };
+
+using TransitionFaultSimulator = FaultSimulatorT<TransitionModel>;
 
 /// Streaming session for the transition generator (mirrors FaultSimSession:
 /// built on the shared SessionCoreT engine — one BatchRunnerT +

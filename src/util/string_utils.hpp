@@ -1,6 +1,9 @@
 // Small string helpers used by the .bench parser and table writers.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +28,15 @@ std::string to_upper(std::string_view s);
 /// input is cut and suffixed with "..." so a corrupt multi-megabyte line
 /// cannot explode a diagnostic.
 std::string excerpt(std::string_view s, std::size_t max_len = 48);
+
+/// Strict value of a numeric command-line flag. `arg` is the whole
+/// "--name=value" argument. flag_uint accepts only an unsigned decimal
+/// integer in [0, max]; flag_number only a finite non-negative decimal
+/// number. A sign, blank, trailing character or out-of-range value is
+/// rejected: the error, naming the flag, goes to stderr and the result is
+/// nullopt (the tools then exit with kExitUsage).
+std::optional<std::uint64_t> flag_uint(
+    std::string_view arg, std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+std::optional<double> flag_number(std::string_view arg);
 
 }  // namespace uniscan

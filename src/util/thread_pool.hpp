@@ -49,6 +49,9 @@ class ThreadPool {
   /// engine. Defaults to 1 worker (fully serial, deterministic).
   static ThreadPool& global();
 
+  /// Largest value any `--threads=N` flag accepts.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Resize the global pool to `n` workers (the `--threads=N` flag).
   /// Equivalent to global().resize(n); the pool object is never replaced.
   static void set_global_threads(std::size_t n);

@@ -6,11 +6,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
 #ifndef UNISCAN_CLI_PATH
 #define UNISCAN_CLI_PATH ""
+#endif
+#ifndef UNISCAN_CORPUS_TOOL_PATH
+#define UNISCAN_CORPUS_TOOL_PATH ""
+#endif
+#ifndef UNISCAN_TABLE_PATH
+#define UNISCAN_TABLE_PATH ""
 #endif
 
 namespace {
@@ -26,15 +33,31 @@ std::string scratch_path(const std::string& name) {
   return ::testing::TempDir() + "cli_" + std::to_string(::getpid()) + "_" + name;
 }
 
-RunResult run_cli(const std::string& args) {
+RunResult run_binary(const std::string& binary, const std::string& args) {
   const std::string out_path = scratch_path("out.txt");
-  const std::string cmd = std::string(UNISCAN_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
+  const std::string cmd = binary + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
   std::ifstream f(out_path);
   std::stringstream ss;
   ss << f.rdbuf();
   std::remove(out_path.c_str());
   return {WEXITSTATUS(status), ss.str()};
+}
+
+RunResult run_cli(const std::string& args) { return run_binary(UNISCAN_CLI_PATH, args); }
+
+/// Every numeric flag is parsed strictly: `binary <head> <flag> <tail>`
+/// with each bad value in `flags` must be a usage error (exit 2) whose
+/// message names the flag — never an abort and never a silently misread
+/// value.
+void expect_usage_errors(const std::string& binary, const std::string& head,
+                         const std::string& tail, std::initializer_list<const char*> flags) {
+  for (const std::string flag : flags) {
+    const RunResult r = run_binary(binary, head + " " + flag + " " + tail);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(flag.substr(0, flag.find('='))), std::string::npos)
+        << flag << ": " << r.output;
+  }
 }
 
 std::string write_demo_bench() {
@@ -271,3 +294,30 @@ TEST_F(CliFlow, ServeModeOverloadExitsFive) {
 }
 
 }  // namespace
+
+TEST_F(CliFlow, NumericFlagsRejectedWithUsageCode) {
+  expect_usage_errors(UNISCAN_CLI_PATH, "generate " + bench_, "",
+                      {"--threads=-3", "--seed=banana", "--time-budget=soon", "--chains=2x",
+                       "--threads=99999999999"});
+}
+
+TEST(NumericFlags, TableBinaryRejectsBadValues) {
+  if (std::string(UNISCAN_TABLE_PATH).empty()) GTEST_SKIP() << "bench tree not built";
+  expect_usage_errors(UNISCAN_TABLE_PATH, "", "",
+                      {"--threads=-3", "--threads=99999999999", "--seed=banana",
+                       "--seed=-1", "--time-budget=soon", "--time-budget=-2",
+                       "--per-circuit-budget=nan"});
+  // Well-formed values still run.
+  const RunResult ok = run_binary(UNISCAN_TABLE_PATH, "--threads=2 --seed=7 --time-budget=600");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+TEST(NumericFlags, CorpusToolRejectsBadValues) {
+  if (std::string(UNISCAN_CORPUS_TOOL_PATH).empty()) GTEST_SKIP() << "corpus_tool not built";
+  // corpus_tool takes no --seed or --time-budget: those are unknown flags,
+  // still a usage error naming the flag.
+  expect_usage_errors(UNISCAN_CORPUS_TOOL_PATH, "", "list",
+                      {"--threads=-3", "--threads=banana", "--threads=99999999999",
+                       "--seed=banana", "--time-budget=soon"});
+  EXPECT_EQ(run_binary(UNISCAN_CORPUS_TOOL_PATH, "--threads=2 list fast").exit_code, 0);
+}

@@ -1,9 +1,10 @@
 // CompiledNetlist kernel tests: CSR/structural invariants of the compiled
-// form, and the bit-identity contract across the three advance engines
-// (compiled / levelized / event), with and without observation-cone pruning,
-// at several thread counts — on the embedded s27 scan circuit and on fuzzed
-// synthetic netlists, over fault lists that include branch faults (forced
-// per-pin injection chains) and from the all-X power-up state.
+// form, and the fault-simulation kernel against the scalar reference
+// simulator (tests/reference_sim.hpp) for both fault models, one-shot and
+// session, at every slot width and several thread counts — on the embedded
+// s27 scan circuit and on fuzzed synthetic netlists, over fault lists that
+// include branch faults (forced per-pin injection chains) and from the all-X
+// power-up state.
 #include "sim/compiled_netlist.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "core/uniscan.hpp"
 #include "fault/fault_list.hpp"
+#include "reference_sim.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/fault_sim_session.hpp"
@@ -24,12 +26,11 @@
 namespace uniscan {
 namespace {
 
-/// Restores the process-wide engine config and thread count on scope exit so
+/// Restores the process-wide slot width and thread count on scope exit so
 /// tests sharing the binary don't leak settings into each other.
-struct EngineConfigGuard {
-  ~EngineConfigGuard() {
-    set_global_sim_engine(SimEngine::Compiled);
-    set_global_cone_pruning(true);
+struct KernelConfigGuard {
+  ~KernelConfigGuard() {
+    set_global_slot_width(SlotWidth::Auto);
     ThreadPool::set_global_threads(1);
   }
 };
@@ -97,11 +98,6 @@ void check_structure(const Netlist& nl) {
     covered = r.end;
   }
   ASSERT_EQ(covered, order.size());
-
-  // Level buckets agree with per-gate levels.
-  for (std::size_t l = 0; l < cnl.num_levels(); ++l)
-    for (std::uint32_t i = cnl.level_begin(l); i < cnl.level_begin(l + 1); ++i)
-      ASSERT_EQ(cnl.level(order[i]), l);
 }
 
 TEST(CompiledNetlist, StructureMatchesNetlistS27Scan) {
@@ -148,128 +144,142 @@ TEST(CompiledNetlist, FullEvalMatchesPerGateReference) {
   }
 }
 
-/// All (engine, pruning) configurations; the levelized engine ignores the
-/// pruning flag, so it appears once.
-struct EngineConfig {
-  SimEngine engine;
-  bool prune;
-  const char* name;
-};
-constexpr EngineConfig kConfigs[] = {
-    {SimEngine::Levelized, false, "levelized"},
-    {SimEngine::Compiled, false, "compiled"},
-    {SimEngine::Compiled, true, "compiled+prune"},
-    {SimEngine::Event, false, "event"},
-    {SimEngine::Event, true, "event+prune"},
-};
+/// The kernel configurations every test below sweeps: thread counts times
+/// slot widths (a SIMD width the build lacks runs its portable lane loops).
+constexpr std::size_t kThreads[] = {1, 2, 4, 8};
+constexpr SlotWidth kWidths[] = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512};
+
+std::string config_name(std::size_t threads, SlotWidth width) {
+  return "threads=" + std::to_string(threads) + " width=" + std::to_string(slot_width_bits(width));
+}
+
+Netlist kernel_netlist(std::uint64_t seed) {
+  return seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+}
+
+void expect_matches_reference(const std::vector<DetectionRecord>& got,
+                              const std::vector<LatchRecord>& latch,
+                              const std::vector<ref::Result>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].detected, want[i].detected) << "fault " << i;
+    if (want[i].detected) {
+      ASSERT_EQ(got[i].time, want[i].time) << "fault " << i;
+    }
+    ASSERT_EQ(latch[i].latched, want[i].latched) << "fault " << i;
+    if (want[i].latched) {
+      ASSERT_EQ(latch[i].ff_index, want[i].ff_index) << "fault " << i;
+      ASSERT_EQ(latch[i].time, want[i].latch_time) << "fault " << i;
+    }
+  }
+}
 
 class KernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(KernelEquivalence, StuckAtEnginesBitIdentical) {
-  EngineConfigGuard guard;
+TEST_P(KernelEquivalence, StuckAtMatchesReference) {
+  KernelConfigGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_netlist(seed);
   // Uncollapsed list: keeps every branch fault so the per-pin forced
   // injection chains are exercised, several faults per gate included.
   const FaultList fl = FaultList::uncollapsed(nl);
   const TestSequence seq = random_sequence(nl, 40, seed * 31 + 7);
+  constexpr std::uint32_t kCap = 3;
 
-  // Baseline: the pre-kernel engine, single-threaded.
-  set_global_sim_engine(SimEngine::Levelized);
-  std::vector<LatchRecord> base_latch;
-  FaultSimulator base_sim(nl);
-  const auto base = base_sim.run(seq, fl.faults(), &base_latch);
-  const auto base_counts = base_sim.run_counts(seq, fl.faults(), 3);
+  std::vector<ref::Result> want;
+  std::vector<std::uint32_t> want_counts;
+  for (const Fault& f : fl.faults()) {
+    want.push_back(ref::simulate(nl, f, seq));
+    want_counts.push_back(ref::simulate(nl, f, seq, kCap).count);
+  }
 
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
+  for (const SlotWidth width : kWidths) {
+    for (const std::size_t threads : kThreads) {
+      SCOPED_TRACE(config_name(threads, width));
+      set_global_slot_width(width);
       ThreadPool::set_global_threads(threads);
       FaultSimulator sim(nl);
       std::vector<LatchRecord> latch;
-      const auto got = sim.run(seq, fl.faults(), &latch);
-      ASSERT_EQ(got.size(), base.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].detected, base[i].detected) << "fault " << i;
-        ASSERT_EQ(got[i].time, base[i].time) << "fault " << i;
-        ASSERT_EQ(latch[i].latched, base_latch[i].latched) << "fault " << i;
-        ASSERT_EQ(latch[i].ff_index, base_latch[i].ff_index) << "fault " << i;
-        ASSERT_EQ(latch[i].time, base_latch[i].time) << "fault " << i;
-      }
-      ASSERT_EQ(sim.run_counts(seq, fl.faults(), 3), base_counts);
+      expect_matches_reference(sim.run(seq, fl.faults(), &latch), latch, want);
+      ASSERT_EQ(sim.run_counts(seq, fl.faults(), kCap), want_counts);
     }
   }
 }
 
-TEST_P(KernelEquivalence, TransitionEnginesBitIdentical) {
-  EngineConfigGuard guard;
+TEST_P(KernelEquivalence, TransitionMatchesReference) {
+  KernelConfigGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_netlist(seed);
   const std::vector<TransitionFault> faults = enumerate_transition_faults(nl);
   const TestSequence seq = random_sequence(nl, 40, seed * 37 + 3);
 
-  set_global_sim_engine(SimEngine::Levelized);
-  std::vector<LatchRecord> base_latch;
-  TransitionFaultSimulator base_sim(nl);
-  const auto base = base_sim.run(seq, faults, &base_latch);
+  std::vector<ref::Result> want;
+  for (const TransitionFault& f : faults) want.push_back(ref::simulate(nl, f, seq));
 
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
+  for (const SlotWidth width : kWidths) {
+    for (const std::size_t threads : kThreads) {
+      SCOPED_TRACE(config_name(threads, width));
+      set_global_slot_width(width);
       ThreadPool::set_global_threads(threads);
       TransitionFaultSimulator sim(nl);
       std::vector<LatchRecord> latch;
-      const auto got = sim.run(seq, faults, &latch);
-      ASSERT_EQ(got.size(), base.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].detected, base[i].detected) << "fault " << i;
-        ASSERT_EQ(got[i].time, base[i].time) << "fault " << i;
-        ASSERT_EQ(latch[i].latched, base_latch[i].latched) << "fault " << i;
-        ASSERT_EQ(latch[i].ff_index, base_latch[i].ff_index) << "fault " << i;
-        ASSERT_EQ(latch[i].time, base_latch[i].time) << "fault " << i;
-      }
+      expect_matches_reference(sim.run(seq, faults, &latch), latch, want);
     }
   }
 }
 
-TEST_P(KernelEquivalence, SessionStatesBitIdentical) {
-  EngineConfigGuard guard;
+/// Sessions carry machine states across chunks: every undetected fault's
+/// (good, faulty) state pair — and a transition fault's launch history —
+/// must equal the reference machines' after the whole sequence, even under
+/// pruning (unsampled DFFs reconstruct from the good machine).
+TEST_P(KernelEquivalence, SessionStatesMatchReference) {
+  KernelConfigGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_netlist(seed);
   const FaultList fl = FaultList::uncollapsed(nl);
+  const std::vector<TransitionFault> tfaults = enumerate_transition_faults(nl);
   const TestSequence chunk1 = random_sequence(nl, 12, seed * 41 + 1);
   const TestSequence chunk2 = random_sequence(nl, 12, seed * 41 + 2);
+  TestSequence whole = chunk1;
+  whole.append_sequence(chunk2);
 
-  // Baseline session: levelized engine. pair_state must agree for every
-  // fault even under pruning (unsampled DFFs reconstruct from the good
-  // machine).
-  set_global_sim_engine(SimEngine::Levelized);
-  FaultSimSession base(nl, fl.faults());
-  base.advance(chunk1);
-  base.advance(chunk2);
+  std::vector<ref::Result> want, twant;
+  for (const Fault& f : fl.faults()) want.push_back(ref::simulate(nl, f, whole));
+  for (const TransitionFault& f : tfaults) twant.push_back(ref::simulate(nl, f, whole));
 
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
+  for (const SlotWidth width : kWidths) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(config_name(threads, width));
+      set_global_slot_width(width);
       ThreadPool::set_global_threads(threads);
       FaultSimSession ses(nl, fl.faults());
-      ses.advance(chunk1);
-      ses.advance(chunk2);
-      ASSERT_EQ(ses.num_detected(), base.num_detected());
-      ASSERT_EQ(ses.good_state(), base.good_state());
-      State g1, f1, g2, f2;
+      TransitionSimSession tses(nl, tfaults);
+      for (const TestSequence* chunk : {&chunk1, &chunk2}) {
+        ses.advance(*chunk);
+        tses.advance(*chunk);
+      }
+      if (!want.empty()) {
+        ASSERT_EQ(ses.good_state(), want[0].good_state);
+      }
+      State good, faulty;
       for (std::size_t i = 0; i < fl.size(); ++i) {
-        ASSERT_EQ(ses.is_detected(i), base.is_detected(i)) << "fault " << i;
-        ses.pair_state(i, g1, f1);
-        base.pair_state(i, g2, f2);
-        ASSERT_EQ(g1, g2) << "fault " << i;
-        ASSERT_EQ(f1, f2) << "fault " << i;
+        ASSERT_EQ(ses.is_detected(i), want[i].detected) << "fault " << i;
+        if (want[i].detected) {
+          ASSERT_EQ(ses.detections()[i].time, want[i].time) << "fault " << i;
+          continue;
+        }
+        ses.pair_state(i, good, faulty);
+        ASSERT_EQ(good, want[i].good_state) << "fault " << i;
+        ASSERT_EQ(faulty, want[i].faulty_state) << "fault " << i;
+      }
+      V3 prev = V3::X;
+      for (std::size_t i = 0; i < tfaults.size(); ++i) {
+        ASSERT_EQ(tses.is_detected(i), twant[i].detected) << "transition fault " << i;
+        if (twant[i].detected) continue;
+        tses.pair_state(i, good, faulty, prev);
+        ASSERT_EQ(good, twant[i].good_state) << "transition fault " << i;
+        ASSERT_EQ(faulty, twant[i].faulty_state) << "transition fault " << i;
+        ASSERT_EQ(prev, twant[i].prev_driven) << "transition fault " << i;
       }
     }
   }
@@ -277,26 +287,30 @@ TEST_P(KernelEquivalence, SessionStatesBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence, ::testing::Range<std::uint64_t>(0, 5));
 
-/// From the all-X power-up state with all-X inputs nothing is detectable and
-/// every engine must agree on the (empty) result — exercises optimistic-X
-/// propagation through the type runs and the event comparisons.
-TEST(KernelEquivalence, AllXSequenceAgreesAcrossEngines) {
-  EngineConfigGuard guard;
+/// From the all-X power-up state with all-X inputs nothing is detectable or
+/// latched — the reference says so, and every width and thread count must
+/// agree (optimistic-X propagation through the type runs and fixups).
+TEST(KernelEquivalence, AllXSequenceMatchesReference) {
+  KernelConfigGuard guard;
   const Netlist nl = insert_scan(make_s27()).netlist;
   const FaultList fl = FaultList::uncollapsed(nl);
   TestSequence seq(nl.num_inputs());
   for (int t = 0; t < 10; ++t) seq.append_x();
 
-  for (const EngineConfig& cfg : kConfigs) {
-    SCOPED_TRACE(cfg.name);
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    FaultSimulator sim(nl);
-    std::vector<LatchRecord> latch;
-    const auto got = sim.run(seq, fl.faults(), &latch);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_FALSE(got[i].detected) << "fault " << i;
-      ASSERT_FALSE(latch[i].latched) << "fault " << i;
+  std::vector<ref::Result> want;
+  for (const Fault& f : fl.faults()) {
+    want.push_back(ref::simulate(nl, f, seq));
+    ASSERT_FALSE(want.back().detected);
+    ASSERT_FALSE(want.back().latched);
+  }
+  for (const SlotWidth width : kWidths) {
+    for (const std::size_t threads : kThreads) {
+      SCOPED_TRACE(config_name(threads, width));
+      set_global_slot_width(width);
+      ThreadPool::set_global_threads(threads);
+      FaultSimulator sim(nl);
+      std::vector<LatchRecord> latch;
+      expect_matches_reference(sim.run(seq, fl.faults(), &latch), latch, want);
     }
   }
 }

@@ -1,15 +1,15 @@
 // Golden-digest regression over the benchmark corpus (DESIGN.md §5i).
 //
 // Tier-1 (uniscan_tests): SHA-256 unit vectors, registry/manifest checks,
-// and the digest invariance matrix on s1423 — the same circuit digested
-// under compiled/levelized/event engines, 1/4 threads, and a forced 64-bit
-// slot width must produce ONE hash (the determinism contracts of DESIGN.md
-// §5d/§5e/§5h collapsed into a single comparison). The fast tier is also
+// and the digest invariance matrix on s1423 — the same circuit digested at
+// 1/2/4 threads, forced 64- and 256-bit slot widths, and with live-fault
+// repacking off must produce ONE hash (the determinism contracts of DESIGN.md
+// §5d/§5h/§5j collapsed into a single comparison). The fast tier is also
 // checked against its checked-in corpus/golden/<ckt>.ans.sha files.
 //
 // Slow (uniscan_slow_tests, -DUNISCAN_SLOW_CORPUS, ctest label `slow`):
-// the full fast+mid sweep against the golden files plus a wider
-// engine × width × thread matrix on the mid-tier anchors (s1423, s5378).
+// the full fast+mid sweep against the golden files plus the full
+// width × thread × repack matrix on the mid-tier anchors (s1423, s5378).
 //
 // Refresh goldens after an intentional behavior change with
 //   UNISCAN_REGEN_GOLDEN=1 ./uniscan_tests --gtest_filter='CorpusDigest.*'
@@ -31,24 +31,26 @@
 namespace uniscan {
 namespace {
 
-/// Forces engine + slot width + pool size for one digest run; restores the
-/// defaults on exit so test order cannot leak configuration.
+/// Forces slot width + pool size + live-fault repacking for one digest run;
+/// restores the defaults on exit so test order cannot leak configuration.
+/// (A UNISCAN_REPACK environment setting overrides the repack choice, as it
+/// does for every run.)
 struct ConfigGuard {
-  ConfigGuard(SimEngine e, SlotWidth w, std::size_t threads) {
-    set_global_sim_engine(e);
+  ConfigGuard(SlotWidth w, std::size_t threads, bool repack) {
     set_global_slot_width(w);
     ThreadPool::set_global_threads(threads);
+    set_global_repack(repack);
   }
   ~ConfigGuard() {
-    set_global_sim_engine(SimEngine::Compiled);
     set_global_slot_width(SlotWidth::Auto);
     ThreadPool::set_global_threads(1);
+    set_global_repack(true);
   }
 };
 
-std::string digest_under(const CorpusRegistry& reg, const CorpusEntry& e, SimEngine engine,
-                         SlotWidth width, std::size_t threads) {
-  const ConfigGuard guard(engine, width, threads);
+std::string digest_under(const CorpusRegistry& reg, const CorpusEntry& e, SlotWidth width,
+                         std::size_t threads, bool repack = true) {
+  const ConfigGuard guard(width, threads, repack);
   return compute_corpus_digest(reg, e).sha_hex;
 }
 
@@ -136,20 +138,17 @@ TEST(CorpusGolden, ReadWriteRoundTrip) {
 
 // ---- tier-1: invariance matrix on the s1423 anchor + fast-tier goldens ----
 
-TEST(CorpusDigest, S1423InvariantAcrossEnginesThreadsWidths) {
+TEST(CorpusDigest, S1423InvariantAcrossThreadsWidthsRepack) {
   const CorpusRegistry& reg = CorpusRegistry::global();
   const CorpusEntry* e = reg.find("s1423");
   ASSERT_NE(e, nullptr);
-  const std::string ref =
-      digest_under(reg, *e, SimEngine::Compiled, SlotWidth::Auto, 1);
-  EXPECT_EQ(digest_under(reg, *e, SimEngine::Compiled, SlotWidth::Auto, 4), ref)
-      << "threads changed the digest";
-  EXPECT_EQ(digest_under(reg, *e, SimEngine::Compiled, SlotWidth::W64, 4), ref)
-      << "slot width changed the digest";
-  EXPECT_EQ(digest_under(reg, *e, SimEngine::Levelized, SlotWidth::Auto, 1), ref)
-      << "levelized engine changed the digest";
-  EXPECT_EQ(digest_under(reg, *e, SimEngine::Event, SlotWidth::Auto, 1), ref)
-      << "event engine changed the digest";
+  const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
+  EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 4), ref) << "threads changed the digest";
+  EXPECT_EQ(digest_under(reg, *e, SlotWidth::W64, 4), ref) << "64-bit slots changed the digest";
+  EXPECT_EQ(digest_under(reg, *e, SlotWidth::W256, 2), ref)
+      << "256-bit slots changed the digest";
+  EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 1, /*repack=*/false), ref)
+      << "repacking off changed the digest";
 }
 
 TEST(CorpusDigest, FastTierMatchesGolden) {
@@ -182,36 +181,33 @@ TEST(CorpusDigestSlow, FastAndMidTiersMatchGolden) {
 
 TEST(CorpusDigestSlow, AnchorsInvariantAcrossFullMatrix) {
   const CorpusRegistry& reg = CorpusRegistry::global();
-  constexpr std::array<SimEngine, 3> kEngines = {SimEngine::Compiled, SimEngine::Levelized,
-                                                 SimEngine::Event};
   constexpr std::array<std::size_t, 4> kThreads = {1, 2, 4, 8};
   constexpr std::array<SlotWidth, 3> kWidths = {SlotWidth::W64, SlotWidth::W256,
                                                 SlotWidth::W512};
 
-  // s1423: every engine at every thread count (width Auto).
+  // s1423: every width at every thread count, repacking on and off
+  // (unavailable SIMD widths run their portable lane loops — still a valid
+  // run of the width-dispatch path).
   {
     const CorpusEntry* e = reg.find("s1423");
     ASSERT_NE(e, nullptr);
-    const std::string ref = digest_under(reg, *e, SimEngine::Compiled, SlotWidth::Auto, 1);
-    for (const SimEngine engine : kEngines)
-      for (const std::size_t threads : kThreads)
-        EXPECT_EQ(digest_under(reg, *e, engine, SlotWidth::Auto, threads), ref)
-            << "s1423 engine=" << sim_engine_name(engine) << " threads=" << threads;
-    // Every requested width (unavailable SIMD widths resolve downward —
-    // still a valid run of the width-dispatch path).
+    const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
     for (const SlotWidth width : kWidths)
-      EXPECT_EQ(digest_under(reg, *e, SimEngine::Compiled, width, 4), ref)
-          << "s1423 width=" << slot_width_bits(width);
+      for (const std::size_t threads : kThreads)
+        for (const bool repack : {true, false})
+          EXPECT_EQ(digest_under(reg, *e, width, threads, repack), ref)
+              << "s1423 width=" << slot_width_bits(width) << " threads=" << threads
+              << " repack=" << repack;
   }
 
-  // s5378: the engine extremes at the thread extremes.
+  // s5378: the matrix extremes.
   {
     const CorpusEntry* e = reg.find("s5378");
     ASSERT_NE(e, nullptr);
-    const std::string ref = digest_under(reg, *e, SimEngine::Compiled, SlotWidth::Auto, 1);
-    EXPECT_EQ(digest_under(reg, *e, SimEngine::Compiled, SlotWidth::Auto, 8), ref);
-    EXPECT_EQ(digest_under(reg, *e, SimEngine::Levelized, SlotWidth::Auto, 8), ref);
-    EXPECT_EQ(digest_under(reg, *e, SimEngine::Event, SlotWidth::W64, 2), ref);
+    const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
+    EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 8), ref);
+    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W64, 2, /*repack=*/false), ref);
+    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W512, 8, /*repack=*/false), ref);
   }
 }
 

@@ -4,62 +4,13 @@
 
 #include "fault/fault_list.hpp"
 #include "netlist/builder.hpp"
+#include "reference_sim.hpp"
 #include "sim/sequential_sim.hpp"
 #include "util/rng.hpp"
 #include "workloads/circuits.hpp"
 
 namespace uniscan {
 namespace {
-
-/// Reference implementation: serial single-fault simulation by building a
-/// mutated circuit evaluation inline with the scalar simulator.
-bool serial_detects(const Netlist& nl, const Fault& f, const TestSequence& seq) {
-  // Simulate good and faulty machines separately with the scalar simulator
-  // by forcing the fault during a hand-rolled evaluation.
-  State good_state(nl.num_dffs(), V3::X);
-  State bad_state(nl.num_dffs(), V3::X);
-  std::vector<V3> gv(nl.num_gates()), bv(nl.num_gates());
-
-  const auto force = [&](std::vector<V3>& vals, GateId g) {
-    if (f.pin == kStemPin && f.gate == g) vals[g] = f.stuck_one ? V3::One : V3::Zero;
-  };
-  const auto pin_val = [&](const std::vector<V3>& vals, GateId g, std::size_t p, bool faulty) {
-    V3 v = vals[nl.gate(g).fanins[p]];
-    if (faulty && f.pin != kStemPin && f.gate == g && f.pin == static_cast<std::int16_t>(p))
-      v = f.stuck_one ? V3::One : V3::Zero;
-    return v;
-  };
-
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-      gv[nl.inputs()[i]] = seq.at(t, i);
-      bv[nl.inputs()[i]] = seq.at(t, i);
-      force(bv, nl.inputs()[i]);
-    }
-    for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-      gv[nl.dffs()[j]] = good_state[j];
-      bv[nl.dffs()[j]] = bad_state[j];
-      force(bv, nl.dffs()[j]);
-    }
-    V3 buf[64];
-    for (GateId g : nl.topo_order()) {
-      const Gate& gate = nl.gate(g);
-      for (std::size_t p = 0; p < gate.fanins.size(); ++p) buf[p] = pin_val(gv, g, p, false);
-      gv[g] = eval_gate_v3(gate.type, buf, gate.fanins.size());
-      for (std::size_t p = 0; p < gate.fanins.size(); ++p) buf[p] = pin_val(bv, g, p, true);
-      bv[g] = eval_gate_v3(gate.type, buf, gate.fanins.size());
-      force(bv, g);
-    }
-    for (GateId po : nl.outputs()) {
-      if (gv[po] != V3::X && bv[po] != V3::X && gv[po] != bv[po]) return true;
-    }
-    for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-      good_state[j] = gv[nl.gate(nl.dffs()[j]).fanins[0]];
-      bad_state[j] = pin_val(bv, nl.dffs()[j], 0, true);
-    }
-  }
-  return false;
-}
 
 TestSequence random_sequence(const Netlist& nl, std::size_t len, std::uint64_t seed) {
   TestSequence seq(nl.num_inputs());
@@ -78,7 +29,7 @@ TEST(FaultSim, AgreesWithSerialReferenceOnS27) {
   const auto records = sim.run(seq, fl.faults());
   ASSERT_EQ(records.size(), fl.size());
   for (std::size_t i = 0; i < fl.size(); ++i) {
-    EXPECT_EQ(records[i].detected, serial_detects(nl, fl[i], seq))
+    EXPECT_EQ(records[i].detected, ref::simulate(nl, fl[i], seq).detected)
         << "fault " << i << ": " << fault_to_string(nl, fl[i]);
   }
 }
@@ -90,7 +41,7 @@ TEST(FaultSim, AgreesWithSerialReferenceOnToyPipeline) {
   FaultSimulator sim(nl);
   const auto records = sim.run(seq, fl.faults());
   for (std::size_t i = 0; i < fl.size(); ++i)
-    EXPECT_EQ(records[i].detected, serial_detects(nl, fl[i], seq)) << "fault " << i;
+    EXPECT_EQ(records[i].detected, ref::simulate(nl, fl[i], seq).detected) << "fault " << i;
 }
 
 TEST(FaultSim, GoodMachineSlotMatchesLogicSimulator) {
@@ -181,7 +132,7 @@ TEST(FaultSim, BatchBoundaries) {
   const auto records = sim.run(seq, fl.faults());
   // Cross-check a sample from the second batch against the serial reference.
   for (std::size_t i = 60; i < 70 && i < fl.size(); ++i)
-    EXPECT_EQ(records[i].detected, serial_detects(nl, fl[i], seq)) << i;
+    EXPECT_EQ(records[i].detected, ref::simulate(nl, fl[i], seq).detected) << i;
 }
 
 }  // namespace

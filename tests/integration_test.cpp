@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/uniscan.hpp"
+#include "reference_sim.hpp"
 
 namespace uniscan {
 namespace {
@@ -114,23 +115,34 @@ TEST(Integration, SequenceFileSurvivesWholeFlow) {
             sim.detected_indices(omit.sequence, fl.faults()).size());
 }
 
-TEST(Integration, EventSimAgreesOnScanShiftSequences) {
-  // Scan-shift-heavy stimuli are the event simulator's best case; results
-  // must still be identical.
+TEST(Integration, KernelAgreesWithReferenceOnScanShiftSequences) {
+  // Long scan shifts keep most of C_scan quiet while values march down the
+  // chain; the kernel's good trace and detections must still match the
+  // scalar reference.
   const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("s298")));
+  const Netlist& nl = sc.netlist;
   Rng rng(12);
-  TestSequence seq(sc.netlist.num_inputs());
+  TestSequence seq(nl.num_inputs());
   for (int t = 0; t < 80; ++t) {
-    std::vector<V3> vec(sc.netlist.num_inputs());
+    std::vector<V3> vec(nl.num_inputs());
     for (auto& v : vec) v = rng.next_bool() ? V3::One : V3::Zero;
     vec[sc.scan_sel_index()] = t % 20 < 14 ? V3::One : V3::Zero;  // long shifts
     seq.append(std::move(vec));
   }
-  const SequentialSimulator ref(sc.netlist);
-  EventSimulator ev(sc.netlist);
-  const SimTrace a = ref.simulate(seq, ref.initial_state());
-  const SimTrace b = ev.simulate(seq, ref.initial_state());
+  const SequentialSimulator good(nl);
+  const SimTrace a = good.simulate(seq, good.initial_state());
+  const ref::GoodTrace b = ref::good_trace(nl, seq, good.initial_state());
   for (std::size_t t = 0; t < a.po.size(); ++t) ASSERT_EQ(a.po[t], b.po[t]) << t;
+
+  const FaultList fl = FaultList::collapsed(nl);
+  const std::vector<DetectionRecord> got = FaultSimulator(nl).run(seq, fl.faults());
+  for (std::size_t i = 0; i < fl.size(); ++i) {
+    const ref::Result want = ref::simulate(nl, fl.faults()[i], seq);
+    ASSERT_EQ(got[i].detected, want.detected) << "fault " << i;
+    if (want.detected) {
+      ASSERT_EQ(got[i].time, want.time) << "fault " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ obs::CounterArray transition_totals(std::size_t threads) {
   const PoolGuard pool(threads);
   obs::reset();
   const auto suite = small_suite();
-  run_suite_tasks(suite.size(), [&](std::size_t i) {
+  run_suite_tasks(suite, [&](std::size_t i) {
     const ScanCircuit sc = insert_scan(load_circuit(suite[i]));
     const auto faults = enumerate_transition_faults(sc.netlist);
     const TransitionAtpgResult r = generate_transition_tests(sc, faults, {});
@@ -99,7 +99,7 @@ IsolatedRun run_isolated(std::size_t threads) {
   PipelineConfig cfg;
   cfg.run_baseline = false;
   IsolatedRun r;
-  r.outcomes = run_suite_generate_and_compact_isolated(small_suite(), cfg);
+  r.outcomes = run_suite_generate_and_compact(small_suite(), cfg);
   r.totals = obs::totals();
   return r;
 }

@@ -1,4 +1,4 @@
-// Determinism of the suite-level fan-out (DESIGN.md §5d): a mini-suite run
+// Determinism of the suite executor (DESIGN.md §5d): a mini-suite run
 // through run_suite_generate_and_compact / run_suite_translate_and_compact
 // must produce identical reports — down to the rendered Table 5/6 rows and
 // the formatted sequence tables — when run twice at the same thread count
@@ -26,6 +26,17 @@ struct PoolGuard {
 
 std::vector<SuiteEntry> mini_suite() {
   return {*find_suite_entry("s27"), *find_suite_entry("b01"), *find_suite_entry("b02")};
+}
+
+/// The reports of a suite run in which no circuit may fail.
+template <typename R>
+std::vector<R> reports(const std::vector<TaskOutcome<R>>& outcomes) {
+  std::vector<R> out;
+  for (const TaskOutcome<R>& o : outcomes) {
+    EXPECT_FALSE(o.failed()) << o.failure->circuit << ": " << o.failure->what;
+    out.push_back(o.value);
+  }
+  return out;
 }
 
 /// Render the Table-5 + Table-6 cells of one report the way the bench
@@ -71,14 +82,14 @@ TEST(PipelineDeterminism, GenerateSuiteIdenticalAcrossThreadCounts) {
   cfg.atpg.final_effort_backtracks = 500;  // keep the mini-suite quick
 
   PoolGuard one(1);
-  const auto want = run_suite_generate_and_compact(suite, cfg);
+  const auto want = reports(run_suite_generate_and_compact(suite, cfg));
   ASSERT_EQ(want.size(), suite.size());
   for (std::size_t i = 0; i < suite.size(); ++i)
     EXPECT_EQ(want[i].circuit, suite[i].name);  // ordered merge
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     PoolGuard guard(threads);
-    const auto got = run_suite_generate_and_compact(suite, cfg);
+    const auto got = reports(run_suite_generate_and_compact(suite, cfg));
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_same(got, want);
   }
@@ -89,8 +100,8 @@ TEST(PipelineDeterminism, GenerateSuiteRepeatableAtFixedThreadCount) {
   PipelineConfig cfg;
   cfg.atpg.final_effort_backtracks = 500;
   PoolGuard guard(4);
-  const auto first = run_suite_generate_and_compact(suite, cfg);
-  const auto second = run_suite_generate_and_compact(suite, cfg);
+  const auto first = reports(run_suite_generate_and_compact(suite, cfg));
+  const auto second = reports(run_suite_generate_and_compact(suite, cfg));
   expect_same(second, first);
 }
 
@@ -99,12 +110,12 @@ TEST(PipelineDeterminism, TranslateSuiteIdenticalAcrossThreadCounts) {
   const PipelineConfig cfg;
 
   PoolGuard one(1);
-  const auto want = run_suite_translate_and_compact(suite, cfg);
+  const auto want = reports(run_suite_translate_and_compact(suite, cfg));
   ASSERT_EQ(want.size(), suite.size());
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     PoolGuard guard(threads);
-    const auto got = run_suite_translate_and_compact(suite, cfg);
+    const auto got = reports(run_suite_translate_and_compact(suite, cfg));
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -137,10 +148,10 @@ TEST(PipelineDeterminism, FormattedReportsIdenticalAcrossThreadCounts) {
   };
 
   PoolGuard one(1);
-  const std::string want = render(run_suite_generate_and_compact(suite, cfg));
+  const std::string want = render(reports(run_suite_generate_and_compact(suite, cfg)));
   {
     PoolGuard guard(4);
-    const std::string got = render(run_suite_generate_and_compact(suite, cfg));
+    const std::string got = render(reports(run_suite_generate_and_compact(suite, cfg)));
     EXPECT_EQ(got, want);
   }
 }

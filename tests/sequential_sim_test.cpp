@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "netlist/builder.hpp"
+#include "reference_sim.hpp"
+#include "util/rng.hpp"
 #include "workloads/circuits.hpp"
+#include "workloads/suite.hpp"
 
 namespace uniscan {
 namespace {
@@ -109,6 +112,69 @@ TEST(SequentialSim, RejectsWidthMismatch) {
   EXPECT_THROW(sim.step(sim.initial_state(), vec("00")), std::invalid_argument);
   EXPECT_THROW(sim.step({V3::Zero}, vec("0000")), std::invalid_argument);
 }
+
+TEST(SequentialSim, StepFromPartlyKnownStateMatchesReference) {
+  const Netlist nl = make_s27();
+  const SequentialSimulator sim(nl);
+  const State start{V3::One, V3::Zero, V3::X};
+  const FrameValues fv = sim.step(start, vec("1010"));
+  const ref::GoodTrace want =
+      ref::good_trace(nl, TestSequence::from_rows(4, {"1010"}), start);
+  EXPECT_EQ(fv.po, want.po[0]);
+  EXPECT_EQ(fv.next_state, want.state[1]);
+}
+
+// step() evaluates into a scratch buffer shared across calls; nothing of an
+// earlier frame may leak into a later one.
+TEST(SequentialSim, StepDoesNotCarryHistory) {
+  const Netlist nl = make_s27();
+  const SequentialSimulator sim(nl);
+  const State zero(3, V3::Zero);
+  const FrameValues first = sim.step(zero, vec("1111"));
+  State s = sim.initial_state();
+  for (int t = 0; t < 5; ++t) s = sim.step(s, vec(t % 2 ? "0x01" : "0000")).next_state;
+  const FrameValues again = sim.step(zero, vec("1111"));
+  EXPECT_EQ(first.po, again.po);
+  EXPECT_EQ(first.next_state, again.next_state);
+}
+
+TestSequence random_sequence(const Netlist& nl, std::size_t len, std::uint64_t seed,
+                             double x_prob) {
+  TestSequence seq(nl.num_inputs());
+  Rng rng(seed);
+  for (std::size_t t = 0; t < len; ++t) {
+    std::vector<V3> v(nl.num_inputs());
+    for (auto& x : v)
+      x = rng.next_double() < x_prob ? V3::X : (rng.next_bool() ? V3::One : V3::Zero);
+    seq.append(std::move(v));
+  }
+  return seq;
+}
+
+// The compiled good-machine kernel against the scalar reference, frame by
+// frame over whole traces.
+class GoodMachineMatchesReference : public ::testing::TestWithParam<const char*> {
+ protected:
+  void check(std::size_t len, std::uint64_t seed, double x_prob) {
+    const Netlist nl = load_circuit(*find_suite_entry(GetParam()));
+    const SequentialSimulator sim(nl);
+    const TestSequence seq = random_sequence(nl, len, seed, x_prob);
+    const SimTrace got = sim.simulate(seq, sim.initial_state());
+    const ref::GoodTrace want = ref::good_trace(nl, seq, sim.initial_state());
+    ASSERT_EQ(got.po.size(), want.po.size());
+    for (std::size_t t = 0; t < got.po.size(); ++t) {
+      ASSERT_EQ(got.po[t], want.po[t]) << GetParam() << " frame " << t;
+      ASSERT_EQ(got.state[t + 1], want.state[t + 1]) << GetParam() << " frame " << t;
+    }
+  }
+};
+
+TEST_P(GoodMachineMatchesReference, FullTraceEquality) { check(120, 42, 0.0); }
+
+TEST_P(GoodMachineMatchesReference, WithXInputs) { check(60, 7, 0.3); }
+
+INSTANTIATE_TEST_SUITE_P(Suite, GoodMachineMatchesReference,
+                         ::testing::Values("s27", "b01", "s208", "s298", "b09"));
 
 }  // namespace
 }  // namespace uniscan

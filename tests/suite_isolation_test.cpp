@@ -38,7 +38,7 @@ class SuiteIsolation : public ::testing::Test {
 };
 
 TEST_F(SuiteIsolation, CleanRunHasNoFailures) {
-  const auto rows = run_suite_generate_and_compact_isolated(mini_suite());
+  const auto rows = run_suite_generate_and_compact(mini_suite());
   ASSERT_EQ(rows.size(), 3u);
   for (const auto& row : rows) {
     EXPECT_FALSE(row.failed());
@@ -49,14 +49,14 @@ TEST_F(SuiteIsolation, CleanRunHasNoFailures) {
 
 TEST_F(SuiteIsolation, InjectedFailureIsIsolatedAndOtherRowsBitIdentical) {
   const auto suite = mini_suite();
-  const auto clean = run_suite_generate_and_compact_isolated(suite);
+  const auto clean = run_suite_generate_and_compact(suite);
   ASSERT_EQ(clean.size(), 3u);
 
   const ScopedInjection poison("b01:atpg");
   for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool::set_global_threads(threads);
-    const auto rows = run_suite_generate_and_compact_isolated(suite);
+    const auto rows = run_suite_generate_and_compact(suite);
     ASSERT_EQ(rows.size(), 3u);
 
     // The poisoned circuit fails with a structured, stage-tagged record.
@@ -78,7 +78,7 @@ TEST_F(SuiteIsolation, InjectedFailureIsIsolatedAndOtherRowsBitIdentical) {
 
 TEST_F(SuiteIsolation, WildcardStageKillsFirstStageOfTheCircuit) {
   const ScopedInjection poison("b02:*");
-  const auto rows = run_suite_generate_and_compact_isolated(mini_suite());
+  const auto rows = run_suite_generate_and_compact(mini_suite());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_FALSE(rows[0].failed());
   EXPECT_FALSE(rows[1].failed());
@@ -92,7 +92,7 @@ TEST_F(SuiteIsolation, FailFastPropagatesTheStageError) {
   PipelineConfig cfg;
   cfg.fail_fast = true;
   try {
-    run_suite_generate_and_compact_isolated(mini_suite(), cfg);
+    run_suite_generate_and_compact(mini_suite(), cfg);
     FAIL() << "expected StageError to escape under fail_fast";
   } catch (const StageError& e) {
     EXPECT_EQ(e.stage(), "faults");
@@ -102,7 +102,7 @@ TEST_F(SuiteIsolation, FailFastPropagatesTheStageError) {
 
 TEST_F(SuiteIsolation, TranslateFlowIsolatesFailuresToo) {
   const ScopedInjection poison("b01:baseline");
-  const auto rows = run_suite_translate_and_compact_isolated(mini_suite());
+  const auto rows = run_suite_translate_and_compact(mini_suite());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_FALSE(rows[0].failed());
   ASSERT_TRUE(rows[1].failed());
@@ -116,7 +116,7 @@ TEST_F(SuiteIsolation, SuiteBudgetAnchoredOnceProducesTimedOutNotFailed) {
   // partial results), never FAIL: no exceptions, no TaskFailure slots.
   PipelineConfig cfg;
   cfg.time_budget_secs = 1e-9;
-  const auto rows = run_suite_generate_and_compact_isolated(mini_suite(), cfg);
+  const auto rows = run_suite_generate_and_compact(mini_suite(), cfg);
   ASSERT_EQ(rows.size(), 3u);
   for (const auto& row : rows) {
     ASSERT_FALSE(row.failed());

@@ -120,7 +120,7 @@ void traced_s27_run(const std::string& path) {
   ThreadPool::set_global_threads(1);
   obs::Tracer::start(path);
   const auto outcomes =
-      run_suite_generate_and_compact_isolated({*find_suite_entry("s27")}, PipelineConfig{});
+      run_suite_generate_and_compact({*find_suite_entry("s27")}, PipelineConfig{});
   obs::Tracer::stop_and_write();
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_FALSE(outcomes[0].failed());
@@ -163,7 +163,7 @@ TEST(TraceGolden, TraceIsBalancedAtFourWorkers) {
                                          *find_suite_entry("b02")};
   PipelineConfig cfg;
   cfg.run_baseline = false;
-  const auto outcomes = run_suite_generate_and_compact_isolated(suite, cfg);
+  const auto outcomes = run_suite_generate_and_compact(suite, cfg);
   obs::Tracer::stop_and_write();
   ThreadPool::set_global_threads(1);
   for (const auto& o : outcomes) ASSERT_FALSE(o.failed());

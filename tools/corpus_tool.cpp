@@ -18,10 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "core/exit_codes.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/golden.hpp"
 #include "sim/engine.hpp"
 #include "util/sha256.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace uniscan;
@@ -33,7 +35,7 @@ int usage() {
                "usage: corpus_tool [--corpus-dir=DIR] [--threads=N] <command> [args]\n"
                "commands: list|verify|hash [tier], synth <name>|<tier>|all,\n"
                "          digest <name> [--text], regen-golden <sel>, check-golden <sel>\n");
-  return 2;
+  return kExitUsage;
 }
 
 /// Resolve a selector ("all", a tier name, or a circuit name) to entries.
@@ -147,23 +149,21 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--corpus-dir=", 0) == 0) corpus_dir = arg.substr(13);
-    else if (arg.rfind("--threads=", 0) == 0)
-      threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    else if (arg == "--text") print_text = true;
-    else if (arg.rfind("--engine=", 0) == 0) {
-      SimEngine engine;
-      if (!parse_sim_engine(arg.substr(9), engine)) {
-        std::fprintf(stderr, "unknown engine: %s\n", arg.c_str() + 9);
-        return 2;
-      }
-      set_global_sim_engine(engine);
-    } else if (arg.rfind("--slot-width=", 0) == 0) {
+    else if (arg.rfind("--threads=", 0) == 0) {
+      const auto n = flag_uint(arg, ThreadPool::kMaxThreads);
+      if (!n) return kExitUsage;
+      threads = *n;
+    } else if (arg == "--text") print_text = true;
+    else if (arg.rfind("--slot-width=", 0) == 0) {
       SlotWidth width;
       if (!parse_slot_width(arg.substr(13), width)) {
         std::fprintf(stderr, "unknown slot width: %s\n", arg.c_str() + 13);
-        return 2;
+        return kExitUsage;
       }
       set_global_slot_width(width);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return kExitUsage;
     } else rest.push_back(arg);
   }
   if (rest.empty()) return usage();

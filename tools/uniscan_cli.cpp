@@ -39,6 +39,8 @@
 // results bit-identical either way, DESIGN.md §5j); --trace=FILE
 // writes a Chrome trace_event JSON of the run (load in chrome://tracing or
 // Perfetto).
+// Numeric flags take plain non-negative decimal values (--threads at most
+// ThreadPool::kMaxThreads); anything else is a usage error.
 // Exit codes (core/exit_codes.hpp, shared with the table binaries): 0
 // success, 1 error (std::exception), 2 usage, 3 unexpected non-standard
 // exception, 4 isolated job failures (serve), 5 overload/shed (serve).
@@ -46,6 +48,7 @@
 #include <fstream>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +61,7 @@
 #include "sim/engine.hpp"
 #include "obs/trace.hpp"
 #include "sim/sequence_io.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -99,6 +103,14 @@ int usage() {
   return kExitUsage;
 }
 
+/// Store a strictly parsed numeric flag value (flag_uint / flag_number);
+/// false when the parser rejected it.
+template <class T, class V>
+bool take(T& dst, std::optional<V> v) {
+  if (v) dst = static_cast<T>(*v);
+  return v.has_value();
+}
+
 std::optional<CliArgs> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   CliArgs a;
@@ -110,11 +122,11 @@ std::optional<CliArgs> parse(int argc, char** argv) {
       if (++i >= argc) return std::nullopt;
       a.output = argv[i];
     } else if (arg.rfind("--chains=", 0) == 0) {
-      a.chains = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!take(a.chains, flag_uint(arg))) return std::nullopt;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!take(a.seed, flag_uint(arg))) return std::nullopt;
     } else if (arg.rfind("--window=", 0) == 0) {
-      a.window = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!take(a.window, flag_uint(arg))) return std::nullopt;
     } else if (arg == "--no-scan-knowledge") {
       a.scan_knowledge = false;
     } else if (arg == "--json") {
@@ -133,7 +145,7 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     } else if (arg == "--repack=off") {
       a.repack = false;
     } else if (arg.rfind("--time-budget=", 0) == 0) {
-      a.time_budget_secs = std::strtod(arg.c_str() + 14, nullptr);
+      if (!take(a.time_budget_secs, flag_number(arg))) return std::nullopt;
     } else if (arg == "--skip-restoration") {
       a.skip_restoration = true;
     } else if (arg == "--skip-omission") {
@@ -147,17 +159,17 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       a.cache_dir = arg.substr(12);
     } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      a.cache_bytes = std::strtoull(arg.c_str() + 14, nullptr, 10);
+      if (!take(a.cache_bytes, flag_uint(arg))) return std::nullopt;
     } else if (arg.rfind("--max-queue=", 0) == 0) {
-      a.max_queue = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      if (!take(a.max_queue, flag_uint(arg))) return std::nullopt;
     } else if (arg.rfind("--retries=", 0) == 0) {
-      a.retries = static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
+      if (!take(a.retries, flag_uint(arg, std::numeric_limits<int>::max()))) return std::nullopt;
     } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      a.backoff_ms = std::strtod(arg.c_str() + 13, nullptr);
+      if (!take(a.backoff_ms, flag_number(arg))) return std::nullopt;
     } else if (arg.rfind("--default-budget=", 0) == 0) {
-      a.default_budget_secs = std::strtod(arg.c_str() + 17, nullptr);
+      if (!take(a.default_budget_secs, flag_number(arg))) return std::nullopt;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      a.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      if (!take(a.threads, flag_uint(arg, ThreadPool::kMaxThreads))) return std::nullopt;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return std::nullopt;
