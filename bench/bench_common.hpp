@@ -88,6 +88,10 @@ T flag_or_exit(std::optional<T> v) {
 }
 
 inline Args parse_args(int argc, char** argv) {
+  if (const std::string err = engine_env_error(); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(kExitUsage);
+  }
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -330,6 +334,12 @@ class BenchJson {
 };
 
 inline std::vector<SuiteEntry> select_suite(const Args& a) {
+  // A repeated name would run a circuit twice and count it twice.
+  for (auto it = a.circuits.begin(); it != a.circuits.end(); ++it)
+    if (std::find(a.circuits.begin(), it, *it) != it) {
+      std::fprintf(stderr, "circuit '%s' is repeated in --circuits\n", it->c_str());
+      std::exit(2);
+    }
   if (!a.corpus.empty()) {
     const CorpusRegistry& reg = CorpusRegistry::global();
     std::optional<CorpusTier> tier;
@@ -409,6 +419,20 @@ inline void print_failures(const std::vector<TaskFailure>& failures) {
   for (const TaskFailure& f : failures)
     std::fprintf(stderr, "FAILED circuit=%s stage=%s: %s\n", f.circuit.c_str(), f.stage.c_str(),
                  f.what.c_str());
+}
+
+/// Shared tail of the suite tables: write the --json file, then report the
+/// isolated failures among `rows` on stderr. Returns the binary's exit code.
+template <class Row>
+int finish_suite(const BenchJson& json, const Args& a,
+                 const std::vector<TaskOutcome<Row>>& rows) {
+  json.write(a.json, a.threads);
+  if (!json.has_failures()) return 0;
+  std::vector<TaskFailure> failures;
+  for (const auto& row : rows)
+    if (row.failed()) failures.push_back(*row.failure);
+  print_failures(failures);
+  return kExitHadFailures;
 }
 
 }  // namespace uniscan::bench

@@ -64,13 +64,5 @@ int main(int argc, char** argv) {
               << format_pct(100.0 * static_cast<double>(total_omit) /
                             static_cast<double>(total_base))
               << "% of baseline)\n";
-  json.write(args.json, args.threads);
-  if (json.has_failures()) {
-    std::vector<TaskFailure> failures;
-    for (const auto& row : rows)
-      if (row.failed()) failures.push_back(*row.failure);
-    bench::print_failures(failures);
-    return bench::kExitHadFailures;
-  }
-  return 0;
+  return bench::finish_suite(json, args, rows);
 }

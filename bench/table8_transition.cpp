@@ -103,13 +103,5 @@ int main(int argc, char** argv) {
               << "% (" << total_detected << "/" << total_faults << ")\n";
   if (args.sat != SatMode::Off)
     std::cout << format_sat_summary(args.sat, sat_total) << "\n";
-  json.write(args.json, args.threads);
-  if (json.has_failures()) {
-    std::vector<TaskFailure> failures;
-    for (const auto& row : rows)
-      if (row.failed()) failures.push_back(*row.failure);
-    bench::print_failures(failures);
-    return bench::kExitHadFailures;
-  }
-  return 0;
+  return bench::finish_suite(json, args, rows);
 }

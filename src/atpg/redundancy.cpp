@@ -87,14 +87,8 @@ RedundancyReport classify_faults(const ScanCircuit& sc, std::span<const Fault> f
         ++report.sat.aborted;
         continue;
       }
-      State target(sr.scan_in.begin(), sr.scan_in.end());
-      TestSequence seq = make_scan_load_all(sc, target, rng);
-      seq.append_sequence(sr.subsequence);
-      if (!sr.observed_at_po) {
-        const ChainPosition pos = chain_position(sc, *sr.latched_dff);
-        seq.append_sequence(make_flush_sequence(
-            sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
-      }
+      TestSequence seq = make_scan_test(sc, sr.scan_in, sr.subsequence,
+                                        sr.observed_at_po ? std::nullopt : sr.latched_dff, rng);
       seq.random_fill(rng);
       const auto det = verifier.run(seq, std::span<const Fault>(&faults[i], 1));
       if (!det.empty() && det[0].detected) {

@@ -83,4 +83,18 @@ TestSequence make_scan_load_all(const ScanCircuit& sc, const State& state, Rng& 
   return seq;
 }
 
+void append_flush(const ScanCircuit& sc, TestSequence& seq, std::size_t dff_index, Rng& rng) {
+  const ChainPosition pos = chain_position(sc, dff_index);
+  seq.append_sequence(make_flush_sequence(
+      sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
+}
+
+TestSequence make_scan_test(const ScanCircuit& sc, const State& scan_in, const TestSequence& body,
+                            std::optional<std::size_t> latched_dff, Rng& rng) {
+  TestSequence seq = make_scan_load_all(sc, scan_in, rng);
+  seq.append_sequence(body);
+  if (latched_dff) append_flush(sc, seq, *latched_dff, rng);
+  return seq;
+}
+
 }  // namespace uniscan

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "scan/scan_insertion.hpp"
 #include "sim/sequence.hpp"
@@ -50,5 +51,16 @@ TestSequence make_scan_load_sequence(const ScanCircuit& sc, std::size_t chain_in
 /// target value. X entries (and shifts that fall off a shorter chain) are
 /// filled randomly.
 TestSequence make_scan_load_all(const ScanCircuit& sc, const State& state, Rng& rng);
+
+/// Append to `seq` the flush that carries an effect latched in DFF
+/// `dff_index` to scan_out (make_flush_sequence over the tail of its chain).
+void append_flush(const ScanCircuit& sc, TestSequence& seq, std::size_t dff_index, Rng& rng);
+
+/// A complete scan test on C_scan: the scan load of `scan_in`
+/// (make_scan_load_all), then `body`, then — when the effect was only
+/// latched into DFF `*latched_dff` rather than observed at a PO — its flush
+/// (append_flush). Draws from `rng` in that order.
+TestSequence make_scan_test(const ScanCircuit& sc, const State& scan_in, const TestSequence& body,
+                            std::optional<std::size_t> latched_dff, Rng& rng);
 
 }  // namespace uniscan

@@ -1,14 +1,14 @@
 #include "atpg/seq_atpg.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "atpg/frame_model.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/scan_knowledge.hpp"
 #include "obs/counters.hpp"
-#include "obs/trace.hpp"
 #include "sat/sat_engine.hpp"
 #include "sim/fault_sim_session.hpp"
+#include "sim/transition_sim.hpp"
 #include "util/cancel.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -16,6 +16,29 @@
 namespace uniscan {
 
 namespace {
+
+/// What the generator needs to know about a fault model beyond its
+/// simulator and session; everything else is written once below.
+/// kLaunchFrames extends every PODEM window and the SAT miter; a launch
+/// frame also brings a launch history, which the session's prev_driven
+/// seeds in every window that starts from T's state and which the SAT
+/// miter quantifies.
+template <class Model>
+struct AtpgTraits;
+
+template <>
+struct AtpgTraits<StuckAtModel> {
+  static constexpr std::size_t kLaunchFrames = 0;
+  static constexpr std::uint64_t kSeedSalt = 0;  // RNG seed = options.seed ^ salt
+  static constexpr bool kProofPass = true;       // phase 3 (window-1 proof + last chance)
+};
+
+template <>
+struct AtpgTraits<TransitionModel> {
+  static constexpr std::size_t kLaunchFrames = 1;
+  static constexpr std::uint64_t kSeedSalt = 0x7261746eULL;
+  static constexpr bool kProofPass = false;
+};
 
 TestSequence random_chunk(const ScanCircuit& sc, std::size_t len, double scan_sel_prob,
                           Rng& rng) {
@@ -38,15 +61,24 @@ AtpgResult generate_tests(const ScanCircuit& sc, const AtpgOptions& options) {
 
 AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
                           const AtpgOptions& options) {
+  return generate_tests<StuckAtModel>(sc, faults.faults(), options);
+}
+
+template <class Model>
+AtpgResult generate_tests(const ScanCircuit& sc,
+                          std::span<const typename Model::fault_type> faults,
+                          const AtpgOptions& options) {
+  using Traits = AtpgTraits<Model>;
+  constexpr std::size_t kLaunch = Traits::kLaunchFrames;
   const Netlist& nl = sc.netlist;
-  Rng rng(options.seed);
+  Rng rng(options.seed ^ Traits::kSeedSalt);
   const obs::CounterScope evals_scope;
 
   AtpgResult result;
   result.num_faults = faults.size();
   result.sequence = TestSequence(nl.num_inputs());
 
-  FaultSimSession session(nl, faults.faults());
+  SimSessionT<Model> session(nl, faults);
   std::vector<bool> via_scan_knowledge(faults.size(), false);
   std::vector<bool> podem_proved(faults.size(), false);
 
@@ -68,8 +100,7 @@ AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
     TestSequence chunk =
         random_chunk(sc, options.random_chunk_len, options.random_scan_sel_prob, rng);
     const auto snap = session.snapshot();
-    const std::size_t gained = session.advance(chunk);
-    if (gained == 0) {
+    if (session.advance(chunk) == 0) {
       session.restore(snap);
       ++useless;
       continue;
@@ -79,7 +110,18 @@ AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
     ++result.stats.random_chunks_accepted;
   }
 
-  // ---- phase 2: deterministic per-fault generation --------------------------
+  // Each later pass visits the still-undetected faults in order; a fired
+  // deadline marks the result timed out and ends the pass.
+  const auto for_each_undetected = [&](auto&& visit) {
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      if (cancel.poll()) {
+        result.timed_out = true;
+        return;
+      }
+      if (!session.is_detected(fi)) visit(fi);
+    }
+  };
+
   // Commit a candidate subsequence if it makes the session detect fault fi;
   // returns false (and rolls back) otherwise.
   const auto try_commit = [&](std::size_t fi, TestSequence sub) {
@@ -94,141 +136,108 @@ AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
     return true;
   };
 
+  // Scan-load-assisted search in a window of `window` frames (plus the
+  // launch): the state is a decision variable, reached through an explicit
+  // scan load, and a latched-only observation gets its flush appended.
+  const auto scan_load_assisted = [&](std::size_t fi, std::size_t window, int backtracks) {
+    FrameModel model(session.compiled(), faults[fi], window + kLaunch);
+    model.set_state_assignable(true);
+    ++result.stats.podem_calls;
+    const PodemResult pr =
+        run_podem(model, PodemGoal::ScanObserve, {backtracks, options.cancel});
+    if (!pr.success) return false;
+    const auto flush = pr.observed_at_po ? std::nullopt : std::optional(pr.latched_dff);
+    if (!try_commit(fi, make_scan_test(sc, pr.scan_in, pr.subsequence, flush, rng)))
+      return false;
+    ++result.stats.scan_load_assisted;
+    if (!pr.observed_at_po) via_scan_knowledge[fi] = true;
+    return true;
+  };
+
+  // ---- phase 2: deterministic per-fault generation --------------------------
   State good, faulty;
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (cancel.poll()) {
-      result.timed_out = true;
-      break;
-    }
-    if (session.is_detected(fi)) continue;
-    session.pair_state(fi, good, faulty);
+  V3 prev_driven = V3::X;
+  // A window that starts from the machine pair T has reached (and, for the
+  // transition model, from the faulted line's launch history).
+  const auto start_from_session = [&](FrameModel& model) {
+    model.set_initial_state(good, faulty);
+    if constexpr (kLaunch > 0) model.set_initial_prev_driven(prev_driven);
+  };
+  for_each_undetected([&](std::size_t fi) {
+    session.pair_state(fi, good, faulty, kLaunch > 0 ? &prev_driven : nullptr);
 
     // (a) Plain forward search from the current machine state.
-    bool done = false;
     for (std::size_t w : options.window_schedule) {
-      FrameModel model(session.compiled(), faults[fi], w);
-      model.set_initial_state(good, faulty);
+      FrameModel model(session.compiled(), faults[fi], w + kLaunch);
+      start_from_session(model);
       ++result.stats.podem_calls;
       PodemResult pr =
           run_podem(model, PodemGoal::ObservePo, {options.max_backtracks, options.cancel});
       if (!pr.success) continue;
       if (try_commit(fi, pr.subsequence)) {
         ++result.stats.podem_successes;
-        done = true;
-        break;
+        return;
       }
       UNISCAN_LOG(Warn) << "PODEM success not confirmed by fault simulation for fault " << fi;
     }
-    if (done || !options.use_scan_knowledge) continue;
+    if (!options.use_scan_knowledge) return;
 
     // (b) Scan-load justification assist (paper Section 2, justification
     // side): search with an assignable state in a SMALL window, then reach
     // that state through an explicit scan load. Keeps the window short even
-    // for circuits with long chains. A latched-only observation gets the
-    // flush of (c) appended.
-    {
-      FrameModel model(session.compiled(), faults[fi], options.justify_window);
-      model.set_state_assignable(true);
-      ++result.stats.podem_calls;
-      PodemResult pr =
-          run_podem(model, PodemGoal::ScanObserve, {options.max_backtracks, options.cancel});
-      if (pr.success) {
-        State target(pr.scan_in.begin(), pr.scan_in.end());
-        TestSequence sub = make_scan_load_all(sc, target, rng);
-        sub.append_sequence(pr.subsequence);
-        if (!pr.observed_at_po) {
-          const ChainPosition pos = chain_position(sc, pr.latched_dff);
-          sub.append_sequence(make_flush_sequence(
-              sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
-        }
-        if (try_commit(fi, std::move(sub))) {
-          ++result.stats.scan_load_assisted;
-          if (!pr.observed_at_po) via_scan_knowledge[fi] = true;
-          continue;
-        }
-      }
-    }
+    // for circuits with long chains.
+    if (scan_load_assisted(fi, options.justify_window, options.max_backtracks)) return;
 
     // (c) Section-2 fallback: latch the effect from the CURRENT state, then
     // flush it to scan_out.
     ++result.stats.fallback_attempts;
-    FrameModel model(session.compiled(), faults[fi], options.fallback_window);
-    model.set_initial_state(good, faulty);
+    FrameModel model(session.compiled(), faults[fi], options.fallback_window + kLaunch);
+    start_from_session(model);
     PodemResult pr =
         run_podem(model, PodemGoal::LatchIntoFf, {options.max_backtracks, options.cancel});
-    if (!pr.success) continue;
-
-    const ChainPosition pos = chain_position(sc, pr.latched_dff);
+    if (!pr.success) return;
     TestSequence sub = pr.subsequence;
-    sub.append_sequence(make_flush_sequence(
-        sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
+    append_flush(sc, sub, pr.latched_dff, rng);
     if (try_commit(fi, std::move(sub))) via_scan_knowledge[fi] = true;
-  }
+  });
 
-  // ---- phase 3: escalated last-chance pass -----------------------------------
+  // ---- phase 3: escalated last-chance pass (stuck-at) ------------------------
   // The per-fault budget above is deliberately small; give the survivors one
   // deep scan-load-assisted search each.
-  if (options.use_scan_knowledge && options.final_effort_backtracks > 0) {
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (cancel.poll()) {
-        result.timed_out = true;
-        break;
-      }
-      if (session.is_detected(fi)) continue;
+  if (Traits::kProofPass && options.use_scan_knowledge && options.final_effort_backtracks > 0) {
+    for_each_undetected([&](std::size_t fi) {
       // Cheap exhaustive proof first: if no single-vector scan test exists,
       // the deep multi-frame search below is almost certainly futile — skip
       // it and report the fault as proved redundant instead. A search cut
       // short by the deadline proves nothing — `aborted` guards the count.
-      {
-        FrameModel proof(session.compiled(), faults[fi], 1);
-        proof.set_state_assignable(true);
-        const PodemResult pr = run_podem(proof, PodemGoal::ScanObserve,
-                                         {options.final_effort_backtracks, options.cancel});
-        if (!pr.success && !pr.aborted && pr.backtracks <= options.final_effort_backtracks) {
-          podem_proved[fi] = true;
-          ++result.proved_redundant;
-          continue;
-        }
+      FrameModel proof(session.compiled(), faults[fi], 1);
+      proof.set_state_assignable(true);
+      const PodemResult pr = run_podem(proof, PodemGoal::ScanObserve,
+                                       {options.final_effort_backtracks, options.cancel});
+      if (!pr.success && !pr.aborted && pr.backtracks <= options.final_effort_backtracks) {
+        podem_proved[fi] = true;
+        ++result.proved_redundant;
+        return;
       }
-      FrameModel model(session.compiled(), faults[fi], options.justify_window);
-      model.set_state_assignable(true);
-      ++result.stats.podem_calls;
-      PodemResult pr = run_podem(model, PodemGoal::ScanObserve,
-                                 {options.final_effort_backtracks, options.cancel});
-      if (!pr.success) continue;
-      State target(pr.scan_in.begin(), pr.scan_in.end());
-      TestSequence sub = make_scan_load_all(sc, target, rng);
-      sub.append_sequence(pr.subsequence);
-      if (!pr.observed_at_po) {
-        const ChainPosition pos = chain_position(sc, pr.latched_dff);
-        sub.append_sequence(make_flush_sequence(
-            sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
-      }
-      if (try_commit(fi, std::move(sub))) {
-        ++result.stats.scan_load_assisted;
-        if (!pr.observed_at_po) via_scan_knowledge[fi] = true;
-      }
-    }
+      scan_load_assisted(fi, options.justify_window, options.final_effort_backtracks);
+    });
   }
 
   // ---- phase 3.5: SAT second chance (DESIGN.md §5l) --------------------------
   // Everything PODEM left undecided — undetected and not proved redundant —
   // gets one complete search: the miter either yields a test (replayed
   // through the session like every other candidate) or an UNSAT proof that
-  // upgrades the fault from implicitly-Aborted to Redundant(proved).
+  // upgrades the fault from implicitly-Aborted to Redundant(proved). The
+  // miter is as deep as the PODEM windows: sat_frames plus the launch.
   if (options.sat_mode != SatMode::Off && !result.timed_out) {
     const sat::SatEngine engine(session.compiled());
     sat::SatEngineOptions sopt;
-    sopt.frames = options.sat_frames;
+    sopt.frames = options.sat_frames + kLaunch;
     sopt.state_assignable = true;
+    sopt.tf_prev_assignable = kLaunch > 0;  // soundness: quantify the launch history
     sopt.max_conflicts = options.sat_max_conflicts;
     sopt.cancel = options.cancel;
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (cancel.poll()) {
-        result.timed_out = true;
-        break;
-      }
-      if (session.is_detected(fi)) continue;
+    for_each_undetected([&](std::size_t fi) {
       if (podem_proved[fi]) {
         // PODEM already exhausted the window-1 space; only the cross-check
         // mode spends solver time re-deriving (or refuting) that claim.
@@ -240,45 +249,39 @@ AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
             UNISCAN_LOG(Warn) << "SAT found a test for PODEM-proved fault " << fi;
           }
         }
-        continue;
+        return;
       }
       ++result.sat.attempts;
       const sat::SatResult sr = engine.prove(faults[fi], sopt);
       if (sr.verdict == sat::SatVerdict::RedundantProved) {
         ++result.sat.proved_redundant;
         ++result.proved_redundant;
-        continue;
+        return;
       }
       if (sr.verdict == sat::SatVerdict::Aborted) {
         ++result.sat.aborted;
-        continue;
+        return;
       }
-      State target(sr.scan_in.begin(), sr.scan_in.end());
-      TestSequence sub = make_scan_load_all(sc, target, rng);
-      sub.append_sequence(sr.subsequence);
-      if (!sr.observed_at_po) {
-        const ChainPosition pos = chain_position(sc, *sr.latched_dff);
-        sub.append_sequence(make_flush_sequence(
-            sc, pos.chain, flush_length(sc.nets.chains[pos.chain], pos.cell), rng));
-      }
-      if (try_commit(fi, std::move(sub))) {
+      const auto flush = sr.observed_at_po ? std::nullopt : sr.latched_dff;
+      if (try_commit(fi, make_scan_test(sc, sr.scan_in, sr.subsequence, flush, rng))) {
         ++result.sat.detected;
         if (!sr.observed_at_po) via_scan_knowledge[fi] = true;
       } else {
-        // Same legitimate miss as PODEM's justify path: the (SI, T) model
+        // A legitimate miss, not only an encoder bug: the (SI, T) model
         // assumes the scan load delivers SI to BOTH machines, but a fault in
-        // the chain circuitry can corrupt the load itself. No claim is made;
-        // the summary's mismatch counter records it.
+        // the chain circuitry can corrupt the load itself; and a transition
+        // miter chose its own launch history, while the committed scan load
+        // pins whatever its last shift drives. No claim is made; the
+        // summary's mismatch counter records it.
         ++result.sat.mismatches;
       }
-    }
+    });
   }
 
   // ---- final verification ----------------------------------------------------
-  FaultSimulator verifier(nl);
-  result.detection = verifier.run(result.sequence, faults.faults());
+  FaultSimulatorT<Model> verifier(nl);
+  result.detection = verifier.run(result.sequence, faults);
   result.gate_evals = evals_scope.delta(obs::Counter::GateEvals);
-  result.detected = 0;
   for (std::size_t i = 0; i < result.detection.size(); ++i) {
     if (result.detection[i].detected) {
       ++result.detected;
@@ -290,5 +293,11 @@ AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
                       << " vs " << result.detected;
   return result;
 }
+
+template AtpgResult generate_tests<StuckAtModel>(const ScanCircuit&, std::span<const Fault>,
+                                                 const AtpgOptions&);
+template AtpgResult generate_tests<TransitionModel>(const ScanCircuit&,
+                                                    std::span<const TransitionFault>,
+                                                    const AtpgOptions&);
 
 }  // namespace uniscan

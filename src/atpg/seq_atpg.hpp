@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "atpg/verdict.hpp"
@@ -85,9 +86,12 @@ struct AtpgResult {
   std::size_t num_faults = 0;
   std::size_t detected = 0;
   std::size_t detected_by_scan_knowledge = 0;  // the `funct` column
-  /// Undetected faults PROVED untestable by any single-vector scan test
-  /// (window-1 exhaustive search) during the last-chance pass — the
-  /// completeness extension the paper notes its procedure lacks.
+  /// Undetected faults PROVED untestable: by the last-chance pass's window-1
+  /// exhaustive search (stuck-at; any single-vector scan test) — the
+  /// completeness extension the paper notes its procedure lacks — or by the
+  /// SAT second chance up to its unrolled depth (for transition faults
+  /// sat_frames + 1 launch frame with X launch history, a depth-bounded
+  /// claim; see sat/sat_engine.hpp).
   std::size_t proved_redundant = 0;
   /// True when AtpgOptions::cancel fired: the sequence is the verified
   /// best-so-far prefix and the faults not reached remain undetected.
@@ -110,6 +114,15 @@ struct AtpgResult {
 /// collapsed universe of sc.netlist when empty.
 AtpgResult generate_tests(const ScanCircuit& sc, const AtpgOptions& options = {});
 AtpgResult generate_tests(const ScanCircuit& sc, const FaultList& faults,
+                          const AtpgOptions& options);
+
+/// The generator over fault model `Model` (StuckAtModel or TransitionModel,
+/// both instantiated in seq_atpg.cpp; the per-model differences are listed
+/// in DESIGN.md §5d). generate_transition_tests (atpg/transition_atpg.hpp)
+/// is the transition entry point.
+template <class Model>
+AtpgResult generate_tests(const ScanCircuit& sc,
+                          std::span<const typename Model::fault_type> faults,
                           const AtpgOptions& options);
 
 }  // namespace uniscan

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace uniscan {
 
@@ -11,16 +12,24 @@ namespace {
 std::atomic<SlotWidth> g_width{SlotWidth::Auto};
 std::atomic<bool> g_repack{true};
 
-/// UNISCAN_REPACK override, parsed once. 0 = forced off, 1 = forced on,
-/// -1 = no override.
+/// Value of environment variable `name`; nullptr when unset or empty.
+const char* env_value(const char* name) noexcept {
+  const char* e = std::getenv(name);
+  return e && *e ? e : nullptr;
+}
+
+/// UNISCAN_REPACK override: 0 = forced off ("0"/"off"), 1 = forced on
+/// ("1"/"on"), -1 = no override (unset, or malformed — engine_env_error()).
+int parse_repack(const char* e) noexcept {
+  if (!e) return -1;
+  if (std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0) return 0;
+  if (std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0) return 1;
+  return -1;
+}
+
+/// The UNISCAN_REPACK override, parsed once.
 int env_repack() noexcept {
-  static const int v = [] {
-    const char* e = std::getenv("UNISCAN_REPACK");
-    if (!e || !*e) return -1;
-    if (std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0) return 0;
-    if (std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0) return 1;
-    return -1;
-  }();
+  static const int v = parse_repack(env_value("UNISCAN_REPACK"));
   return v;
 }
 
@@ -29,7 +38,7 @@ int env_repack() noexcept {
 SlotWidth env_slot_width() noexcept {
   static const SlotWidth w = [] {
     SlotWidth out = SlotWidth::Auto;
-    if (const char* e = std::getenv("UNISCAN_SLOT_WIDTH"); e && *e) parse_slot_width(e, out);
+    if (const char* e = env_value("UNISCAN_SLOT_WIDTH")) parse_slot_width(e, out);
     return out;
   }();
   return w;
@@ -69,6 +78,15 @@ bool parse_slot_width(std::string_view name, SlotWidth& out) noexcept {
   else if (name == "auto") out = SlotWidth::Auto;
   else return false;
   return true;
+}
+
+std::string engine_env_error() {
+  SlotWidth w;
+  if (const char* e = env_value("UNISCAN_SLOT_WIDTH"); e && !parse_slot_width(e, w))
+    return std::string("invalid UNISCAN_SLOT_WIDTH=") + e + " (64|256|512|auto)";
+  if (const char* e = env_value("UNISCAN_REPACK"); e && parse_repack(e) < 0)
+    return std::string("invalid UNISCAN_REPACK=") + e + " (0|1|off|on)";
+  return {};
 }
 
 unsigned slot_width_bits(SlotWidth w) noexcept { return static_cast<unsigned>(w); }

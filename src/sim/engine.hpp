@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace uniscan {
@@ -32,6 +33,12 @@ SlotWidth resolved_slot_width() noexcept;
 
 /// Parse "64" / "256" / "512" / "auto"; returns false on other input.
 bool parse_slot_width(std::string_view name, SlotWidth& out) noexcept;
+
+/// Diagnostic for a malformed UNISCAN_SLOT_WIDTH or UNISCAN_REPACK value
+/// (naming the variable and its value); empty when both are unset or
+/// well-formed. The library ignores a malformed override, so front ends
+/// check this at startup and exit 2 on a non-empty result.
+std::string engine_env_error();
 
 /// Bit width of a resolved SlotWidth (64/256/512).
 unsigned slot_width_bits(SlotWidth w) noexcept;

@@ -1,43 +1,60 @@
 #include "sim/fault_sim_session.hpp"
 
+#include <type_traits>
+
 #include "sim/session_core.hpp"
+#include "sim/transition_sim.hpp"
 
 namespace uniscan {
 
-struct FaultSimSession::Impl : SessionCoreT<FaultSimulator> {
-  Impl(const Netlist& nl, std::span<const Fault> faults)
-      : SessionCoreT<FaultSimulator>(nl, faults, "FaultSimSession") {}
-};
+template <class Model>
+SimSessionT<Model>::SimSessionT(const Netlist& nl, std::span<const fault_type> faults)
+    : core_(std::make_unique<SessionCoreT<FaultSimulatorT<Model>>>(
+          nl, faults,
+          std::is_same_v<Model, StuckAtModel> ? "FaultSimSession" : "TransitionSimSession")) {}
 
-FaultSimSession::FaultSimSession(const Netlist& nl, std::span<const Fault> faults)
-    : impl_(std::make_unique<Impl>(nl, faults)) {}
+template <class Model>
+SimSessionT<Model>::~SimSessionT() = default;
+template <class Model>
+SimSessionT<Model>::SimSessionT(SimSessionT&&) noexcept = default;
+template <class Model>
+SimSessionT<Model>& SimSessionT<Model>::operator=(SimSessionT&&) noexcept = default;
 
-FaultSimSession::~FaultSimSession() = default;
-FaultSimSession::FaultSimSession(FaultSimSession&&) noexcept = default;
-FaultSimSession& FaultSimSession::operator=(FaultSimSession&&) noexcept = default;
-
-std::size_t FaultSimSession::advance(const TestSequence& chunk) { return impl_->advance(chunk); }
-std::size_t FaultSimSession::now() const noexcept { return impl_->now(); }
-std::size_t FaultSimSession::num_faults() const noexcept { return impl_->num_faults(); }
-bool FaultSimSession::is_detected(std::size_t fault_index) const {
-  return impl_->is_detected(fault_index);
+template <class Model>
+std::size_t SimSessionT<Model>::advance(const TestSequence& chunk) { return core_->advance(chunk); }
+template <class Model>
+std::size_t SimSessionT<Model>::now() const noexcept { return core_->now(); }
+template <class Model>
+std::size_t SimSessionT<Model>::num_faults() const noexcept { return core_->num_faults(); }
+template <class Model>
+bool SimSessionT<Model>::is_detected(std::size_t i) const { return core_->is_detected(i); }
+template <class Model>
+const std::vector<DetectionRecord>& SimSessionT<Model>::detections() const noexcept {
+  return core_->detections();
 }
-const std::vector<DetectionRecord>& FaultSimSession::detections() const noexcept {
-  return impl_->detections();
-}
-std::size_t FaultSimSession::num_detected() const noexcept { return impl_->num_detected(); }
-const CompiledNetlist& FaultSimSession::compiled() const noexcept { return impl_->compiled(); }
-State FaultSimSession::good_state() const { return impl_->good_state(); }
-void FaultSimSession::pair_state(std::size_t fault_index, State& good, State& faulty) const {
-  impl_->pair_state(fault_index, good, faulty, nullptr);
+template <class Model>
+std::size_t SimSessionT<Model>::num_detected() const noexcept { return core_->num_detected(); }
+template <class Model>
+const CompiledNetlist& SimSessionT<Model>::compiled() const noexcept { return core_->compiled(); }
+template <class Model>
+State SimSessionT<Model>::good_state() const { return core_->good_state(); }
+template <class Model>
+void SimSessionT<Model>::pair_state(std::size_t i, State& good, State& faulty,
+                                    V3* prev_driven) const {
+  core_->pair_state(i, good, faulty, prev_driven);
 }
 
-FaultSimSession::Snapshot FaultSimSession::snapshot() const {
+template <class Model>
+typename SimSessionT<Model>::Snapshot SimSessionT<Model>::snapshot() const {
   Snapshot s;
-  s.state_ = impl_->snapshot();
+  s.state_ = core_->snapshot();
   return s;
 }
 
-void FaultSimSession::restore(const Snapshot& s) { impl_->restore(s.state_); }
+template <class Model>
+void SimSessionT<Model>::restore(const Snapshot& s) { core_->restore(s.state_); }
+
+template class SimSessionT<StuckAtModel>;
+template class SimSessionT<TransitionModel>;
 
 }  // namespace uniscan

@@ -6,25 +6,25 @@
 // whole fault universe and advances them incrementally. Candidate
 // subsequences can be evaluated tentatively via snapshot/restore.
 //
-// The session is built on the shared SessionCoreT engine (DESIGN.md
-// §5c/§5d/§5j): one FaultSimulator::BatchRunnerT + SimBatchStateT per fault
-// batch (63/255/511 faults per batch — see sim/slot_word.hpp), packed
-// hardest-first (sim/fault_order.hpp) so batches whose faults are all
-// detected go cold early and are skipped without simulation; the live
-// batches of every advance() fan out across ThreadPool::global(). With
-// repacking enabled (engine.hpp, the default) the core additionally repacks
-// surviving faults into dense batches between advances and auto-narrows the
-// slot word as the live population shrinks. Each batch writes only its own
-// state and detection slots and the merge runs serially in batch order, so
-// results are bit-identical at every thread count — and at every width and
-// with repacking on or off, because per-fault detection is a pure function
-// of that fault's slot.
+// One class template, SimSessionT<Model>, serves both fault models
+// (FaultSimSession; TransitionSimSession in sim/transition_sim.hpp) as a
+// pimpl over the shared SessionCoreT engine (DESIGN.md §5c/§5d/§5j): one
+// BatchRunnerT + SimBatchStateT per fault batch (63/255/511 faults per
+// batch — see sim/slot_word.hpp), packed hardest-first (sim/fault_order.hpp)
+// so batches whose faults are all detected go cold early and are skipped
+// without simulation; the live batches of every advance() fan out across
+// ThreadPool::global(). With repacking enabled (engine.hpp, the default)
+// the core additionally repacks surviving faults into dense batches between
+// advances and auto-narrows the slot word as the live population shrinks.
+// Each batch writes only its own state and detection slots and the merge
+// runs serially in batch order, so results are bit-identical at every
+// thread count — and at every width and with repacking on or off, because
+// per-fault detection is a pure function of that fault's slot.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -35,13 +35,19 @@
 
 namespace uniscan {
 
-class FaultSimSession {
+template <class Sim>
+class SessionCoreT;
+
+template <class Model>
+class SimSessionT {
  public:
+  using fault_type = typename Model::fault_type;
+
   /// The session references (not copies) `nl`; it must outlive the session.
-  FaultSimSession(const Netlist& nl, std::span<const Fault> faults);
-  ~FaultSimSession();
-  FaultSimSession(FaultSimSession&&) noexcept;
-  FaultSimSession& operator=(FaultSimSession&&) noexcept;
+  SimSessionT(const Netlist& nl, std::span<const fault_type> faults);
+  ~SimSessionT();
+  SimSessionT(SimSessionT&&) noexcept;
+  SimSessionT& operator=(SimSessionT&&) noexcept;
 
   /// Advance all machines by the vectors of `chunk` (which must be fully
   /// specified — no X primary inputs — so that detections are real).
@@ -64,8 +70,12 @@ class FaultSimSession {
   State good_state() const;
 
   /// (good, faulty) state pair of fault `fault_index` entering the next
-  /// frame; faulty == good wherever no effect is latched.
-  void pair_state(std::size_t fault_index, State& good, State& faulty) const;
+  /// frame; faulty == good wherever no effect is latched. When
+  /// `prev_driven` is non-null it receives the faulted line's previous
+  /// driven value (the transition model's launch history, which seeds the
+  /// ATPG window's FrameModel::set_initial_prev_driven).
+  void pair_state(std::size_t fault_index, State& good, State& faulty,
+                  V3* prev_driven = nullptr) const;
 
   /// Opaque resumable session state. Only batches that were live (some fault
   /// still undetected) at capture time carry a machine state: a batch dead
@@ -81,19 +91,16 @@ class FaultSimSession {
     Snapshot() = default;
 
    private:
-    friend class FaultSimSession;
+    friend class SimSessionT;
     std::shared_ptr<const void> state_;
   };
   Snapshot snapshot() const;
   void restore(const Snapshot& s);
 
-  /// Implementation (the shared SessionCoreT engine; public so the
-  /// definition in fault_sim_session.cpp can name it; not part of the
-  /// session's API).
-  struct Impl;
-
  private:
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<SessionCoreT<FaultSimulatorT<Model>>> core_;
 };
+
+using FaultSimSession = SimSessionT<StuckAtModel>;
 
 }  // namespace uniscan

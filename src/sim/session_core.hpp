@@ -1,7 +1,7 @@
 // Shared engine of the streaming fault-simulation sessions (DESIGN.md §5j).
 //
-// FaultSimSession and TransitionSimSession are the same machine over
-// different fault models: faults packed hardest-first into batches of
+// SimSessionT<Model> (sim/fault_sim_session.hpp) is a pimpl over this core
+// for either fault model: faults packed hardest-first into batches of
 // kBits-1 slots, dead batches skipped, live batches fanned across
 // ThreadPool::global(), detections merged serially in batch order.
 // SessionCoreT<Sim> implements that machine once, templated over the

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "sim/fault_sim.hpp"
+#include "sim/fault_sim_session.hpp"
 #include "sim/sequence.hpp"
 #include "sim/sequential_sim.hpp"
 #include "sim/slot_word.hpp"
@@ -78,58 +78,9 @@ struct TransitionModel {
 
 using TransitionFaultSimulator = FaultSimulatorT<TransitionModel>;
 
-/// Streaming session for the transition generator (mirrors FaultSimSession:
-/// built on the shared SessionCoreT engine — one BatchRunnerT +
-/// SimBatchStateT per batch, packed hardest-first, dead batches skipped,
-/// live batches fanned across ThreadPool::global(), and with repacking
-/// enabled (the default) surviving faults repacked into dense batches with
-/// the slot word auto-narrowed as the live population shrinks — DESIGN.md
-/// §5j). Bit-identical at every thread count and width, repack on or off.
-class TransitionSimSession {
- public:
-  TransitionSimSession(const Netlist& nl, std::span<const TransitionFault> faults);
-  ~TransitionSimSession();
-  TransitionSimSession(TransitionSimSession&&) noexcept;
-  TransitionSimSession& operator=(TransitionSimSession&&) noexcept;
-
-  std::size_t advance(const TestSequence& chunk);
-  std::size_t now() const noexcept;
-  std::size_t num_faults() const noexcept;
-  bool is_detected(std::size_t i) const;
-  const std::vector<DetectionRecord>& detections() const noexcept;
-  std::size_t num_detected() const noexcept;
-  /// Compiled form of the netlist, shared by all of the session's runners
-  /// (and reusable by FrameModels targeting the same circuit).
-  const CompiledNetlist& compiled() const noexcept;
-  State good_state() const;
-  /// Machine-pair state plus the faulted line's previous driven value for
-  /// fault `i` (needed to seed the ATPG window's launch history).
-  void pair_state(std::size_t i, State& good, State& faulty, V3& prev_driven) const;
-
-  /// Opaque resumable session state (live batches only — see
-  /// FaultSimSession::Snapshot for the contract). The snapshot pins the
-  /// batch pack it was captured under, so restoring across an intervening
-  /// repack (even one that changed the slot width) re-installs that exact
-  /// pack. Copyable; only valid for the session that produced it —
-  /// restoring into a different session throws std::invalid_argument.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-
-   private:
-    friend class TransitionSimSession;
-    std::shared_ptr<const void> state_;
-  };
-  Snapshot snapshot() const;
-  void restore(const Snapshot& s);
-
-  /// Implementation (the shared SessionCoreT engine; public so the
-  /// definition in transition_sim.cpp can name it; not part of the
-  /// session's API).
-  struct Impl;
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
+/// Streaming session for the transition generator: the shared session
+/// template (sim/fault_sim_session.hpp) over the transition model.
+/// pair_state()'s optional `prev_driven` reports the launch history.
+using TransitionSimSession = SimSessionT<TransitionModel>;
 
 }  // namespace uniscan

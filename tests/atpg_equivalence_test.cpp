@@ -37,8 +37,7 @@ void expect_same_stats(const AtpgStats& got, const AtpgStats& want) {
   EXPECT_EQ(got.random_chunks_accepted, want.random_chunks_accepted);
 }
 
-template <typename Result>
-void expect_same_detection(const Result& got, const Result& want) {
+void expect_same_detection(const AtpgResult& got, const AtpgResult& want) {
   ASSERT_EQ(got.detection.size(), want.detection.size());
   for (std::size_t i = 0; i < got.detection.size(); ++i) {
     EXPECT_EQ(got.detection[i].detected, want.detection[i].detected) << "fault " << i;
@@ -52,16 +51,6 @@ void expect_same(const AtpgResult& got, const AtpgResult& want) {
   EXPECT_EQ(got.detected, want.detected);
   EXPECT_EQ(got.detected_by_scan_knowledge, want.detected_by_scan_knowledge);
   EXPECT_EQ(got.proved_redundant, want.proved_redundant);
-  EXPECT_EQ(got.gate_evals, want.gate_evals);
-  expect_same_detection(got, want);
-  expect_same_stats(got.stats, want.stats);
-}
-
-void expect_same(const TransitionAtpgResult& got, const TransitionAtpgResult& want) {
-  EXPECT_EQ(got.sequence, want.sequence);
-  EXPECT_EQ(got.num_faults, want.num_faults);
-  EXPECT_EQ(got.detected, want.detected);
-  EXPECT_EQ(got.detected_by_scan_knowledge, want.detected_by_scan_knowledge);
   EXPECT_EQ(got.gate_evals, want.gate_evals);
   expect_same_detection(got, want);
   expect_same_stats(got.stats, want.stats);

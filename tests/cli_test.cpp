@@ -9,6 +9,8 @@
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #ifndef UNISCAN_CLI_PATH
 #define UNISCAN_CLI_PATH ""
@@ -18,6 +20,9 @@
 #endif
 #ifndef UNISCAN_TABLE_PATH
 #define UNISCAN_TABLE_PATH ""
+#endif
+#ifndef UNISCAN_SUITE_TABLE_PATH
+#define UNISCAN_SUITE_TABLE_PATH ""
 #endif
 
 namespace {
@@ -320,4 +325,37 @@ TEST(NumericFlags, CorpusToolRejectsBadValues) {
                       {"--threads=-3", "--threads=banana", "--threads=99999999999",
                        "--seed=banana", "--time-budget=soon"});
   EXPECT_EQ(run_binary(UNISCAN_CORPUS_TOOL_PATH, "--threads=2 list fast").exit_code, 0);
+}
+
+TEST(SuiteSelection, RepeatedCircuitNameRejected) {
+  if (std::string(UNISCAN_SUITE_TABLE_PATH).empty()) GTEST_SKIP() << "bench tree not built";
+  // With and without --corpus: a repeated name is a usage error that names
+  // the circuit, never a silent exit or a double-counted row.
+  for (const std::string flags : {"--corpus=fast --circuits=s27,s27", "--circuits=s27,s27",
+                                  "--circuits=s27,b01,s27"}) {
+    const RunResult r = run_binary(UNISCAN_SUITE_TABLE_PATH, flags);
+    EXPECT_EQ(r.exit_code, 2) << flags << ": " << r.output;
+    EXPECT_NE(r.output.find("'s27' is repeated"), std::string::npos) << flags << ": " << r.output;
+  }
+  const RunResult ok = run_binary(UNISCAN_SUITE_TABLE_PATH, "--corpus=fast --circuits=s27");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+TEST_F(CliFlow, MalformedEnvOverridesRejected) {
+  // `VAR=value binary args`: each front end must refuse a malformed
+  // UNISCAN_SLOT_WIDTH / UNISCAN_REPACK with exit 2 and a message naming
+  // the variable and its value, instead of silently running with a default.
+  std::vector<std::pair<std::string, std::string>> runs = {
+      {UNISCAN_CLI_PATH, "stats " + bench_}, {UNISCAN_CORPUS_TOOL_PATH, "list fast"}};
+  if (!std::string(UNISCAN_TABLE_PATH).empty()) runs.emplace_back(UNISCAN_TABLE_PATH, "");
+  for (const auto& [binary, args] : runs) {
+    for (const std::string env : {"UNISCAN_SLOT_WIDTH=128", "UNISCAN_REPACK=maybe"}) {
+      const RunResult r = run_binary(env + " " + binary, args);
+      EXPECT_EQ(r.exit_code, 2) << env << " " << binary << ": " << r.output;
+      EXPECT_NE(r.output.find(env), std::string::npos) << env << " " << binary << ": "
+                                                      << r.output;
+    }
+    const RunResult ok = run_binary("UNISCAN_SLOT_WIDTH=64 UNISCAN_REPACK=off " + binary, args);
+    EXPECT_EQ(ok.exit_code, 0) << binary << ": " << ok.output;
+  }
 }

@@ -276,7 +276,7 @@ TEST_P(KernelEquivalence, SessionStatesMatchReference) {
       for (std::size_t i = 0; i < tfaults.size(); ++i) {
         ASSERT_EQ(tses.is_detected(i), twant[i].detected) << "transition fault " << i;
         if (twant[i].detected) continue;
-        tses.pair_state(i, good, faulty, prev);
+        tses.pair_state(i, good, faulty, &prev);
         ASSERT_EQ(good, twant[i].good_state) << "transition fault " << i;
         ASSERT_EQ(faulty, twant[i].faulty_state) << "transition fault " << i;
         ASSERT_EQ(prev, twant[i].prev_driven) << "transition fault " << i;

@@ -142,6 +142,10 @@ int cmd_golden(const CorpusRegistry& reg, const std::string& sel, bool regen) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const std::string err = engine_env_error(); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return kExitUsage;
+  }
   std::string corpus_dir;
   std::size_t threads = 1;
   std::vector<std::string> rest;

@@ -432,6 +432,10 @@ int run_command(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const std::string err = engine_env_error(); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return kExitUsage;
+  }
   const auto args = parse(argc, argv);
   if (!args) return usage();
   set_global_slot_width(args->slot_width);
