@@ -4,32 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-namespace uniscan {
-namespace {
-
-/// Component-wise five-valued logic for the type-run kernel: a V5 is a
-/// (good, faulty) V3 pair and gate evaluation is exact per component.
-struct V5Ops {
-  using value = V5;
-  static V5 not_(V5 a) noexcept { return {v3_not(a.good), v3_not(a.faulty)}; }
-  static V5 and_(V5 a, V5 b) noexcept {
-    return {v3_and(a.good, b.good), v3_and(a.faulty, b.faulty)};
-  }
-  static V5 or_(V5 a, V5 b) noexcept {
-    return {v3_or(a.good, b.good), v3_or(a.faulty, b.faulty)};
-  }
-  static V5 xor_(V5 a, V5 b) noexcept {
-    return {v3_xor(a.good, b.good), v3_xor(a.faulty, b.faulty)};
-  }
-  static V5 mux(V5 d0, V5 d1, V5 s) noexcept {
-    return {v3_mux(d0.good, d1.good, s.good), v3_mux(d0.faulty, d1.faulty, s.faulty)};
-  }
-  static V5 zero() noexcept { return V5::zero(); }
-  static V5 one() noexcept { return V5::one(); }
-};
-
-}  // namespace
-}  // namespace uniscan
+#include "obs/counters.hpp"
 
 namespace uniscan {
 
@@ -40,7 +15,8 @@ FrameModel::FrameModel(std::optional<CompiledNetlist> owned, const CompiledNetli
       nl_(&cnl_->netlist()),
       fault_(fault),
       num_frames_(num_frames),
-      npi_(nl_->num_inputs()) {
+      npi_(nl_->num_inputs()),
+      ng_(nl_->num_gates()) {
   if (num_frames == 0) throw std::invalid_argument("FrameModel: zero frames");
   const Netlist& nl = *nl_;
   // One gate at most needs per-pin/stem fault forcing: exclude it from the
@@ -54,14 +30,16 @@ FrameModel::FrameModel(std::optional<CompiledNetlist> owned, const CompiledNetli
       nf ? prog_.forced_level[0] : std::numeric_limits<std::uint32_t>::max();
   while (fault_split_ < prog_.runs.size() && prog_.runs[fault_split_].level <= fl)
     ++fault_split_;
+  if (fault_.pin == 0 && ft == GateType::Dff)
+    faulted_dff_d_ = static_cast<std::int32_t>(*nl.dff_index(fault_.gate));
   init_good_.assign(nl.num_dffs(), V3::X);
   init_faulty_.assign(nl.num_dffs(), V3::X);
   state_assign_.assign(nl.num_dffs(), V3::X);
   pi_pins_.assign(npi_, V3::X);
   pi_assign_.assign(num_frames_ * npi_, V3::X);
-  values_.assign(num_frames_ * nl.num_gates(), V5::x());
+  values_.assign(num_frames_ * ng_, 0);
   tf_prev_by_frame_.assign(num_frames_, V3::X);
-  frame_state_.assign((num_frames_ + 1) * nl.num_dffs(), V5::x());
+  frame_state_.assign((num_frames_ + 1) * nl.num_dffs(), 0);
   po_d_frame_.assign(num_frames_, 0);
   any_d_frame_.assign(num_frames_, 0);
   latch_frame_.assign(num_frames_, -1);
@@ -128,10 +106,15 @@ V3 FrameModel::forced_faulty(std::size_t frame, V3 driven_faulty) const {
   return slow_to_rise_ ? v3_and(driven_faulty, prev) : v3_or(driven_faulty, prev);
 }
 
+V3 FrameModel::force_packed(std::size_t frame, std::uint8_t& v) const {
+  const V3 driven = detail::unpack_v5(v).faulty;
+  v = detail::with_faulty(v, forced_faulty(frame, driven));
+  return driven;
+}
+
 void FrameModel::simulate() {
+  using detail::p5_is_d;
   const CompiledNetlist& cnl = *cnl_;
-  const Netlist& nl = *nl_;
-  const std::size_t ng = cnl.num_gates();
   const auto& inputs = cnl.inputs();
   const auto& dffs = cnl.dffs();
   const auto& dff_d = cnl.dff_d();
@@ -143,119 +126,92 @@ void FrameModel::simulate() {
   // frames keep their values_ and per-frame bookkeeping.
   const std::size_t start = std::min(dirty_from_, num_frames_);
   dirty_from_ = num_frames_;
+  obs::count(obs::Counter::FrameGateEvals, (num_frames_ - start) * prog_.evals_per_frame);
 
   if (start == 0) {
-    V5* row0 = frame_state_.data();
+    std::uint8_t* row0 = frame_state_.data();
     for (std::size_t j = 0; j < ndff; ++j) {
-      row0[j] = state_assignable_ ? V5::both(state_assign_[j])
-                                  : V5{init_good_[j], init_faulty_[j]};
+      row0[j] = state_assignable_ ? detail::pack_both(state_assign_[j])
+                                  : detail::pack_v5({init_good_[j], init_faulty_[j]});
     }
   }
 
   const std::span<const TypeRun> runs(prog_.runs);
   const bool fault_on_comb = !prog_.forced_order.empty();
+  const bool stem_fault = fault_.pin == kStemPin;
+  const GateType fault_type = cnl.type(fault_.gate);
+  const bool stem_on_boundary =
+      stem_fault && (fault_type == GateType::Input || fault_type == GateType::Dff);
   V5 fanin_buf[64];
   V3 tf_prev =
       start == 0 ? tf_prev_init_ : (start < num_frames_ ? tf_prev_by_frame_[start] : V3::X);
   for (std::size_t f = start; f < num_frames_; ++f) {
-    V5* vals = values_.data() + f * ng;
-    const V5* state_good = frame_state_.data() + f * ndff;
-    V5* state_next = frame_state_.data() + (f + 1) * ndff;
+    std::uint8_t* vals = values_.data() + f * ng_;
+    const std::uint8_t* state_now = frame_state_.data() + f * ndff;
+    std::uint8_t* state_next = frame_state_.data() + (f + 1) * ndff;
     tf_prev_by_frame_[f] = tf_prev;
     V3 tf_now = V3::X;  // faulted line's faulty driven value this frame
 
     // Frame boundary values, with stem-fault forcing on PIs / DFF outputs.
-    for (std::size_t i = 0; i < npi_; ++i) vals[inputs[i]] = V5::both(pi_assign_[f * npi_ + i]);
-    for (std::size_t j = 0; j < ndff; ++j) vals[dffs[j]] = state_good[j];
-    if (fault_.pin == kStemPin) {
-      const GateType bt = cnl.type(fault_.gate);
-      if (bt == GateType::Input || bt == GateType::Dff) {
-        tf_now = vals[fault_.gate].faulty;
-        vals[fault_.gate].faulty = forced_faulty(f, tf_now);
-      }
-    }
+    const V3* pis = pi_assign_.data() + f * npi_;
+    for (std::size_t i = 0; i < npi_; ++i) vals[inputs[i]] = detail::pack_both(pis[i]);
+    for (std::size_t j = 0; j < ndff; ++j) vals[dffs[j]] = state_now[j];
+    if (stem_on_boundary) tf_now = force_packed(f, vals[fault_.gate]);
 
     // Combinational evaluation: clean type runs up to the faulted gate's
     // level, the faulted gate individually (per-pin or stem forcing), the
-    // remaining runs. Only the faulted gate ever needs a fault check.
-    detail::eval_type_runs<V5Ops>(runs.first(fault_split_), prog_.eval.data(), fanin_off,
-                                  fanin_ids, vals);
+    // remaining runs. Only the faulted gate unpacks, to apply the fault.
+    detail::eval_type_runs<detail::PackedV5Ops>(runs.first(fault_split_), prog_.eval.data(),
+                                                fanin_off, fanin_ids, vals);
     if (fault_on_comb) {
       const GateId g = fault_.gate;
       const std::uint32_t lo = fanin_off[g];
       const std::size_t n = fanin_off[g + 1] - lo;
-      for (std::size_t p = 0; p < n; ++p) fanin_buf[p] = vals[fanin_ids[lo + p]];
-      if (fault_.pin != kStemPin) {
+      for (std::size_t p = 0; p < n; ++p)
+        fanin_buf[p] = detail::unpack_v5(vals[fanin_ids[lo + p]]);
+      if (!stem_fault) {
         tf_now = fanin_buf[fault_.pin].faulty;
         fanin_buf[fault_.pin].faulty = forced_faulty(f, tf_now);
       }
-      V5 out = eval_gate_v5(cnl.type(g), fanin_buf, n);
-      if (fault_.pin == kStemPin) {
+      V5 out = eval_gate_v5(fault_type, fanin_buf, n);
+      if (stem_fault) {
         tf_now = out.faulty;
         out.faulty = forced_faulty(f, tf_now);
       }
-      vals[g] = out;
+      vals[g] = detail::pack_v5(out);
     }
-    detail::eval_type_runs<V5Ops>(runs.subspan(fault_split_), prog_.eval.data(), fanin_off,
-                                  fanin_ids, vals);
+    detail::eval_type_runs<detail::PackedV5Ops>(runs.subspan(fault_split_), prog_.eval.data(),
+                                                fanin_off, fanin_ids, vals);
 
     // PO detection.
     po_d_frame_[f] = 0;
     for (GateId po : cnl.outputs()) {
-      if (is_d_or_dbar(vals[po])) {
+      if (p5_is_d(vals[po])) {
         po_d_frame_[f] = 1;
         break;
       }
     }
 
-    // Next state (with DFF D-pin branch forcing).
-    for (std::size_t j = 0; j < ndff; ++j) {
-      V5 d = vals[dff_d[j]];
-      if (fault_.pin != kStemPin && fault_.gate == dffs[j] && fault_.pin == 0) {
-        tf_now = d.faulty;
-        d.faulty = forced_faulty(f, tf_now);
-      }
-      state_next[j] = d;
-    }
+    // Next state (with DFF D-pin branch forcing), and the latched-effect
+    // bookkeeping: the largest latching DFF index of the frame (deepest in
+    // the scan chain), -1 if none.
+    for (std::size_t j = 0; j < ndff; ++j) state_next[j] = vals[dff_d[j]];
+    if (faulted_dff_d_ >= 0) tf_now = force_packed(f, state_next[faulted_dff_d_]);
     tf_prev = tf_now;
-
-    // Latched-effect bookkeeping: the largest latching DFF index of the
-    // frame (deepest in the scan chain), -1 if none.
     std::int32_t best = -1;
-    for (std::size_t j = 0; j < ndff; ++j)
-      if (is_d_or_dbar(state_next[j])) best = static_cast<std::int32_t>(j);
+    for (std::size_t j = ndff; j-- > 0;)
+      if (p5_is_d(state_next[j])) {
+        best = static_cast<std::int32_t>(j);
+        break;
+      }
     latch_frame_[f] = best;
   }
 
-  // D-frontier and any-effect scan over the re-simulated frames. Iterates in
-  // topo_order like the evaluation loop it replaced: PODEM's decision order
-  // depends on the frontier order, so it must stay put. Frames before
-  // `start` keep their cached prefix of frontier_.
+  // D-frontier and any-effect scan over the re-simulated frames. Frames
+  // before `start` keep their cached prefix of frontier_.
   frontier_.resize(frontier_off_[start]);
   for (std::size_t f = start; f < num_frames_; ++f) {
-    const V5* vals = values_.data() + f * ng;
-    any_d_frame_[f] = 0;
-    for (GateId g : nl.topo_order()) {
-      if (is_d_or_dbar(vals[g])) {
-        any_d_frame_[f] = 1;
-        continue;
-      }
-      if (is_fully_known(vals[g])) continue;
-      const std::uint32_t lo = fanin_off[g];
-      const std::size_t n = fanin_off[g + 1] - lo;
-      bool has_d_input = false;
-      for (std::size_t p = 0; p < n && !has_d_input; ++p) {
-        V5 pv = vals[fanin_ids[lo + p]];
-        if (fault_.pin != kStemPin && fault_.gate == g &&
-            fault_.pin == static_cast<std::int16_t>(p))
-          pv.faulty = forced_faulty(f, pv.faulty);
-        has_d_input = is_d_or_dbar(pv);
-      }
-      if (has_d_input) {
-        frontier_.emplace_back(f, g);
-        any_d_frame_[f] = 1;
-      }
-    }
+    any_d_frame_[f] = scan_effects(f);
     frontier_off_[f + 1] = static_cast<std::uint32_t>(frontier_.size());
   }
 
@@ -271,6 +227,60 @@ void FrameModel::simulate() {
     if (any_d_frame_[f]) any_effect_ = true;
   }
   if (latch_ || po_detect_) any_effect_ = true;
+}
+
+bool FrameModel::scan_effects(std::size_t f) {
+  using detail::p5_is_d;
+  const std::uint8_t* vals = values_.data() + f * ng_;
+  const std::uint32_t* fanin_off = cnl_->fanin_offsets();
+  const GateId* fanin_ids = cnl_->fanin_id_data();
+  // Only a combinational gate's branch fault forces a pin the scan reads.
+  const bool comb_branch = fault_.pin != kStemPin && !prog_.forced_order.empty();
+  const GateId branch_gate = comb_branch ? fault_.gate : kNoGate;
+
+  // A frame holding no D or D' anywhere has no effect and no frontier,
+  // unless forcing turns the branch-faulted pin into one.
+  bool frame_has_d = false;
+  for (std::size_t g = 0; g < ng_; ++g)
+    frame_has_d |= (vals[g] == detail::kP5D) | (vals[g] == detail::kP5DBar);
+  if (!frame_has_d && comb_branch) {
+    std::uint8_t pv = vals[fanin_ids[fanin_off[branch_gate] + fault_.pin]];
+    force_packed(f, pv);
+    frame_has_d = p5_is_d(pv);
+  }
+  if (!frame_has_d) return false;
+
+  // Topological order, like the evaluation loop the scan replaced: PODEM's
+  // decision order depends on the frontier order, so it must stay put. A
+  // gate whose value is not fully known joins the frontier when a pin
+  // carries D or D'; the branch-faulted gate alone reads its faulted pin
+  // through forcing.
+  bool any_d = false;
+  for (GateId g : nl_->topo_order()) {
+    const std::uint8_t v = vals[g];
+    if (p5_is_d(v)) {
+      any_d = true;
+      continue;
+    }
+    if (detail::p5_known(v)) continue;
+    const GateId* in = fanin_ids + fanin_off[g];
+    const GateId* in_end = fanin_ids + fanin_off[g + 1];
+    bool has_d_input = false;
+    if (g != branch_gate) {
+      for (; in != in_end && !has_d_input; ++in) has_d_input = p5_is_d(vals[*in]);
+    } else {
+      for (std::size_t p = 0; in + p != in_end && !has_d_input; ++p) {
+        std::uint8_t pv = vals[in[p]];
+        if (p == static_cast<std::size_t>(fault_.pin)) force_packed(f, pv);
+        has_d_input = p5_is_d(pv);
+      }
+    }
+    if (has_d_input) {
+      frontier_.emplace_back(f, g);
+      any_d = true;
+    }
+  }
+  return any_d;
 }
 
 TestSequence FrameModel::extract_sequence(std::size_t frames_used) const {

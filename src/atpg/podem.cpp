@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace uniscan {
@@ -23,9 +24,18 @@ struct Decision {
 class PodemSearch {
  public:
   PodemSearch(FrameModel& model, PodemGoal goal, const PodemOptions& opt)
-      : model_(model), nl_(model.netlist()), goal_(goal), opt_(opt) {}
+      : model_(model), nl_(model.netlist()), goal_(goal), opt_(opt) {
+    // Index of each primary input in inputs() and each DFF in dffs(), so the
+    // backtrace turns a net into a decision variable in one lookup.
+    boundary_index_.assign(nl_.num_gates(), 0);
+    for (std::size_t i = 0; i < nl_.num_inputs(); ++i)
+      boundary_index_[nl_.inputs()[i]] = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j < nl_.num_dffs(); ++j)
+      boundary_index_[nl_.dffs()[j]] = static_cast<std::uint32_t>(j);
+  }
 
   PodemResult run();
+  std::uint64_t decisions() const noexcept { return decisions_; }
 
  private:
   std::optional<Decision> choose_objective();
@@ -38,6 +48,21 @@ class PodemSearch {
   const Netlist& nl_;
   PodemGoal goal_;
   PodemOptions opt_;
+  std::uint64_t decisions_ = 0;
+  std::vector<std::uint32_t> boundary_index_;  // by GateId, for inputs and DFFs
+
+  // Backtrace candidate lists, (cost, input) pairs: each recursion level
+  // works on its own top segment and truncates it on return.
+  using Candidate = std::pair<std::uint32_t, GateId>;
+  mutable std::vector<Candidate> cands_;
+  struct CandidateFrame {
+    std::vector<Candidate>& v;
+    std::size_t base;
+    explicit CandidateFrame(std::vector<Candidate>& stack) : v(stack), base(stack.size()) {}
+    CandidateFrame(const CandidateFrame&) = delete;
+    CandidateFrame& operator=(const CandidateFrame&) = delete;
+    ~CandidateFrame() { v.resize(base); }
+  };
 
   // Memoized failure set for the backtrace DFS: (frame, net, val) triples
   // already proven to have no reachable unassigned input. Generation-stamped
@@ -82,20 +107,16 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
   const Gate& gate = nl_.gate(net);
   switch (gate.type) {
     case GateType::Input: {
-      for (std::size_t i = 0; i < nl_.num_inputs(); ++i) {
-        if (nl_.inputs()[i] == net) {
-          if (model_.assignment(frame, i) != V3::X) return fail();  // already fixed
-          return Decision{frame, i, val, false};
-        }
-      }
-      return fail();
+      const std::size_t i = boundary_index_[net];
+      if (model_.assignment(frame, i) != V3::X) return fail();  // already fixed
+      return Decision{frame, i, val, false};
     }
     case GateType::Dff: {
       if (frame == 0) {
         if (!model_.state_assignable()) return fail();  // fixed PS
-        const auto j = nl_.dff_index(net);
-        if (!j || model_.state_assignment(*j) != V3::X) return fail();
-        return Decision{0, nl_.num_inputs() + *j, val, false};
+        const std::size_t j = boundary_index_[net];
+        if (model_.state_assignment(j) != V3::X) return fail();
+        return Decision{0, nl_.num_inputs() + j, val, false};
       }
       if (auto d = bt(frame - 1, gate.fanins[0], val)) return d;
       return fail();
@@ -119,32 +140,35 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
       // Candidate X inputs sorted by cost: controlling objectives take the
       // cheapest path first; non-controlling take the hardest first so
       // conflicts surface early. The DFS falls back to the others.
-      std::vector<std::pair<std::uint32_t, GateId>> cands;
+      const CandidateFrame mine(cands_);
       for (GateId in : gate.fanins) {
         if (model_.value(frame, in).good != V3::X) continue;
-        cands.emplace_back(need == V3::Zero ? model_.cost0(in) : model_.cost1(in), in);
+        cands_.emplace_back(need == V3::Zero ? model_.cost0(in) : model_.cost1(in), in);
       }
-      std::sort(cands.begin(), cands.end());
-      if (!controlling) std::reverse(cands.begin(), cands.end());
-      for (const auto& [cost, in] : cands)
-        if (auto d = bt(frame, in, need)) return d;
+      const auto first = cands_.begin() + static_cast<std::ptrdiff_t>(mine.base);
+      std::sort(first, cands_.end());
+      if (!controlling) std::reverse(first, cands_.end());
+      // Indexed: deeper levels may grow (and reallocate) the stack.
+      for (std::size_t k = mine.base; k < cands_.size(); ++k)
+        if (auto d = bt(frame, cands_[k].second, need)) return d;
       return fail();
     }
     case GateType::Xor:
     case GateType::Xnor: {
       V3 target = gate.type == GateType::Xnor ? v3_not(val) : val;  // parity target
-      std::vector<GateId> xs;
+      const CandidateFrame mine(cands_);
       for (GateId in : gate.fanins) {
         const V3 v = model_.value(frame, in).good;
-        if (v == V3::X) xs.push_back(in);
+        if (v == V3::X) cands_.emplace_back(0, in);
         else if (v == V3::One) target = v3_not(target);
       }
-      for (GateId in : xs) {
-        const V3 first = xs.size() == 1
-                             ? target
-                             : (model_.cost0(in) <= model_.cost1(in) ? V3::Zero : V3::One);
+      const std::size_t nx = cands_.size() - mine.base;
+      for (std::size_t k = mine.base; k < mine.base + nx; ++k) {
+        const GateId in = cands_[k].second;
+        const V3 first =
+            nx == 1 ? target : (model_.cost0(in) <= model_.cost1(in) ? V3::Zero : V3::One);
         if (auto d = bt(frame, in, first)) return d;
-        if (xs.size() > 1)
+        if (nx > 1)
           if (auto d = bt(frame, in, v3_not(first))) return d;
       }
       return fail();
@@ -326,6 +350,7 @@ PodemResult PodemSearch::run() {
       else
         model_.assign(obj->frame, obj->pi, obj->value);
       stack.push_back(*obj);
+      ++decisions_;
       model_.simulate();
       continue;
     }
@@ -360,7 +385,12 @@ PodemResult PodemSearch::run() {
 
 PodemResult run_podem(FrameModel& model, PodemGoal goal, const PodemOptions& options) {
   const obs::TraceSpan span("podem");
-  return PodemSearch(model, goal, options).run();
+  PodemSearch search(model, goal, options);
+  PodemResult result = search.run();
+  obs::count(obs::Counter::PodemSearches);
+  obs::count(obs::Counter::PodemDecisions, search.decisions());
+  obs::count(obs::Counter::PodemBacktracks, static_cast<std::uint64_t>(result.backtracks));
+  return result;
 }
 
 }  // namespace uniscan

@@ -74,6 +74,10 @@ struct AtpgOptions {
 };
 
 struct AtpgStats {
+  /// Searches of phase 2's forward windows and of every scan-load-assisted
+  /// search (phase 2 and the last-chance pass). The latch fallback (see
+  /// fallback_attempts) and the last-chance window-1 proofs are not
+  /// counted; obs::Counter::PodemSearches counts every run_podem call.
   std::size_t podem_calls = 0;
   std::size_t podem_successes = 0;
   std::size_t scan_load_assisted = 0;  // detections via scan-load justification

@@ -42,6 +42,10 @@ const char* counter_name(Counter c) noexcept {
     case Counter::SatConflicts: return "sat_conflicts";
     case Counter::SatDecisions: return "sat_decisions";
     case Counter::SatPropagations: return "sat_propagations";
+    case Counter::PodemSearches: return "podem_searches";
+    case Counter::PodemDecisions: return "podem_decisions";
+    case Counter::PodemBacktracks: return "podem_backtracks";
+    case Counter::FrameGateEvals: return "frame_gate_evals";
   }
   return "unknown";
 }

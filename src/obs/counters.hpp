@@ -57,8 +57,13 @@ enum class Counter : std::uint8_t {
   SatConflicts,         // CDCL conflicts across all SAT engine solves
   SatDecisions,         // CDCL decisions across all SAT engine solves
   SatPropagations,      // CDCL literal propagations across all SAT solves
+  PodemSearches,        // run_podem calls (every caller, proofs included)
+  PodemDecisions,       // PODEM decisions (input or scan-in assignments)
+  PodemBacktracks,      // PODEM backtracks (flips of the last open decision)
+  FrameGateEvals,       // combinational gates evaluated by FrameModel::
+                        // simulate(), kept apart from the fault-sim GateEvals
 };
-inline constexpr std::size_t kNumCounters = 20;
+inline constexpr std::size_t kNumCounters = 24;
 
 /// Counters with max semantics: count_max() raises the shard value, totals()
 /// max-reduces across shards instead of summing, and CounterScope reports a
