@@ -46,6 +46,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::PodemDecisions: return "podem_decisions";
     case Counter::PodemBacktracks: return "podem_backtracks";
     case Counter::FrameGateEvals: return "frame_gate_evals";
+    case Counter::OmissionFrames: return "omission_frames";
+    case Counter::OmissionConverged: return "omission_converged";
   }
   return "unknown";
 }

@@ -62,8 +62,12 @@ enum class Counter : std::uint8_t {
   PodemBacktracks,      // PODEM backtracks (flips of the last open decision)
   FrameGateEvals,       // combinational gates evaluated by FrameModel::
                         // simulate(), kept apart from the fault-sim GateEvals
+  OmissionFrames,       // batch-frames simulated by the omission engine:
+                        // trace builds, trials and trace syncs
+  OmissionConverged,    // omission trial batch advances stopped by a state
+                        // match with the accepted run
 };
-inline constexpr std::size_t kNumCounters = 24;
+inline constexpr std::size_t kNumCounters = 26;
 
 /// Counters with max semantics: count_max() raises the shard value, totals()
 /// max-reduces across shards instead of summing, and CounterScope reports a

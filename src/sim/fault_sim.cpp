@@ -335,9 +335,9 @@ std::uint64_t BatchRunnerT<Word, Model>::run_frames(State& s, const SequenceView
   std::uint64_t evals = 0;
 
   for (std::size_t t = s.frame; t < view.length(); ++t) {
-    if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
-      s.frame = t;  // snapshot the state (and launch history) entering frame t
-      opt.checkpoints->save(opt.batch_index, s);
+    if (opt.probe) {
+      s.frame = t;
+      if (opt.probe(opt.probe_ctx, s)) return evals;
     }
 
     // Boundary values, with stem injection on PIs and sampled DFF outputs.
@@ -380,13 +380,14 @@ std::uint64_t BatchRunnerT<Word, Model>::run_frames(State& s, const SequenceView
     // Detection at the batch's observable primary outputs. A frame
     // contributes at most one count per fault even if several outputs
     // expose it; a slot leaves `live` once it reaches count_cap.
-    Word observed{};
+    Word raw{};
     for (const GateId po : prog_.obs_po) {
       const W w = values[po];
-      if (w_bit0(w.v1)) observed = observed | (w.v0 & s.live);
-      else if (w_bit0(w.v0)) observed = observed | (w.v1 & s.live);
+      if (w_bit0(w.v1)) raw = raw | w.v0;
+      else if (w_bit0(w.v0)) raw = raw | w.v1;
     }
-    w_for_each_set(observed, [&](unsigned slot) {
+    if (opt.raw_obs) opt.raw_obs[t] = raw;
+    w_for_each_set(raw & s.live, [&](unsigned slot) {
       if (!w_test(s.detected_slots, slot)) {
         w_set(s.detected_slots, slot);
         s.detect_time[slot] = static_cast<std::uint32_t>(t);

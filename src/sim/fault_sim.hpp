@@ -107,11 +107,23 @@ class BatchRunnerT {
     bool early_exit = true;      // stop once no slot is live
     std::uint32_t count_cap = 1; // observations until a slot leaves `live`
     std::span<LatchRecord> latched = {};  // one record per batch fault
-    // Checkpoint capture: while simulating frames f <= capture_limit,
-    // snapshot the state entering f whenever checkpoints->want(f).
-    CheckpointStoreT<Word>* checkpoints = nullptr;
-    std::size_t batch_index = 0;
-    std::size_t capture_limit = 0;
+    // Per-frame raw observations: raw_obs[f] receives the slots observed at
+    // a primary output in frame f, before the `live` mask is applied.
+    Word* raw_obs = nullptr;
+    // Stop check: before simulating each frame f, probe(probe_ctx, s) is
+    // called with s.frame == f; a true return ends the advance there. The
+    // omission engine uses it to stop a trial whose state has re-joined the
+    // accepted run (DESIGN.md §5c).
+    bool (*probe)(void* ctx, const State& s) = nullptr;
+    void* probe_ctx = nullptr;
+
+    /// Install `fn` (callable as bool(const State&), outliving the advance)
+    /// as the stop check.
+    template <class Fn>
+    void set_probe(Fn& fn) noexcept {
+      probe_ctx = &fn;
+      probe = [](void* ctx, const State& s) { return (*static_cast<Fn*>(ctx))(s); };
+    }
   };
 
   /// Simulate frames [s.frame, view.length()) of `view`, updating `s` in
@@ -119,7 +131,8 @@ class BatchRunnerT {
   /// don't matter). Returns the number of gate-word evaluations.
   /// After an early exit, only the detection fields of `s` are
   /// meaningful; a state intended for later resumption must come from a
-  /// checkpoint or a non-early-exit run.
+  /// checkpoint or a non-early-exit run. A stop by the probe leaves a
+  /// resumable state entering frame s.frame.
   std::uint64_t advance(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
                         const AdvanceOptions& opt) const;
 
