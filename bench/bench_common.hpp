@@ -239,21 +239,25 @@ inline std::string counters_json(const obs::CounterArray& c) {
 ///     "repack": true|false,                             // additive in v2
 ///     "counters": {gate_evals, batch_skips, ...},       // process totals
 ///     "entries": [ {name, wall_ms, gate_evals, in_len, out_len, timed_out,
+///                   detected,                           // additive in v2
 ///                   "stages": [{name, wall_ms, counters: {...}}, ...]},
 ///                  ... ],
 ///     "failures": [ {circuit, stage, what}, ... ] }
 /// The `stages` array appears on entries constructed with a per-stage
 /// breakdown (v1 consumers that only read the flat fields keep working: no
-/// v1 key was renamed or removed). The failures array is always present
-/// (empty on a healthy run) so CI can assert its shape unconditionally.
+/// v1 key was renamed or removed). `detected` (faults the generator
+/// detected) appears only on rows of binaries that pass it (table8). The
+/// failures array is always present (empty on a healthy run) so CI can
+/// assert its shape unconditionally.
 /// Intended for CI artifacts (BENCH_compaction.json, robustness output).
 class BenchJson {
  public:
   void add(std::string name, double wall_ms, std::uint64_t gate_evals, std::size_t in_len,
            std::size_t out_len, bool timed_out = false,
-           const std::vector<obs::StageStat>* stages = nullptr) {
+           const std::vector<obs::StageStat>* stages = nullptr,
+           std::optional<std::size_t> detected = std::nullopt) {
     entries_.push_back({std::move(name), wall_ms, gate_evals, in_len, out_len, timed_out,
-                        stages ? *stages : std::vector<obs::StageStat>{}});
+                        detected, stages ? *stages : std::vector<obs::StageStat>{}});
   }
 
   void add_failure(const TaskFailure& f) { failures_.push_back(f); }
@@ -294,6 +298,7 @@ class BenchJson {
           << ", \"gate_evals\": " << e.gate_evals << ", \"in_len\": " << e.in_len
           << ", \"out_len\": " << e.out_len << ", \"timed_out\": "
           << (e.timed_out ? "true" : "false");
+      if (e.detected) out << ", \"detected\": " << *e.detected;
       if (!e.stages.empty()) {
         out << ", \"stages\": [";
         for (std::size_t s = 0; s < e.stages.size(); ++s) {
@@ -324,6 +329,7 @@ class BenchJson {
     std::size_t in_len;
     std::size_t out_len;
     bool timed_out;
+    std::optional<std::size_t> detected;
     std::vector<obs::StageStat> stages;
   };
   std::vector<Entry> entries_;

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                        std::to_string(r.sequence.length()), std::to_string(row.omitted.total),
                        std::to_string(row.omitted.scan), bench::row_status(timed_out)});
         json.add(suite[i].name, row.wall_ms, row.gate_evals, r.sequence.length(),
-                 row.omitted.total, timed_out, &row.stages);
+                 row.omitted.total, timed_out, &row.stages, r.detected);
         if (args.sat != SatMode::Off) {
           sat_total.add(r.sat);
           json.record_sat(args.sat, r.sat);

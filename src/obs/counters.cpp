@@ -42,6 +42,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::SatConflicts: return "sat_conflicts";
     case Counter::SatDecisions: return "sat_decisions";
     case Counter::SatPropagations: return "sat_propagations";
+    case Counter::SatPlainSolves: return "sat_plain_solves";
     case Counter::PodemSearches: return "podem_searches";
     case Counter::PodemDecisions: return "podem_decisions";
     case Counter::PodemBacktracks: return "podem_backtracks";

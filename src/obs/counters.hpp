@@ -57,6 +57,9 @@ enum class Counter : std::uint8_t {
   SatConflicts,         // CDCL conflicts across all SAT engine solves
   SatDecisions,         // CDCL decisions across all SAT engine solves
   SatPropagations,      // CDCL literal propagations across all SAT solves
+  SatPlainSolves,       // base-miter solves run because the active-path
+                        // stage did not refute the fault (the cost of
+                        // keeping models exact, DESIGN.md §5l)
   PodemSearches,        // run_podem calls (every caller, proofs included)
   PodemDecisions,       // PODEM decisions (input or scan-in assignments)
   PodemBacktracks,      // PODEM backtracks (flips of the last open decision)
@@ -67,7 +70,7 @@ enum class Counter : std::uint8_t {
   OmissionConverged,    // omission trial batch advances stopped by a state
                         // match with the accepted run
 };
-inline constexpr std::size_t kNumCounters = 26;
+inline constexpr std::size_t kNumCounters = 27;
 
 /// Counters with max semantics: count_max() raises the shard value, totals()
 /// max-reduces across shards instead of summing, and CounterScope reports a

@@ -148,6 +148,45 @@ class Builder {
   Lit t_;
 };
 
+/// The active-path group (DESIGN.md §5l), appended after the base miter and
+/// read off its recorded rails. A gate whose rails are literal-identical in
+/// both machines can never carry a difference, so it gets no path variable.
+void add_active_path(Builder& b, const CompiledNetlist& cnl, GateId site, MiterEncoding& enc) {
+  const std::size_t ng = cnl.num_gates();
+  std::vector<bool> sink(ng, false);  // a difference here is observed: PO or DFF D driver
+  for (GateId po : cnl.outputs()) sink[po] = true;
+  for (GateId d : cnl.dff_d()) sink[d] = true;
+
+  std::vector<Lit> s(ng);
+  Clause site_frames, fanout;
+  for (std::size_t f = 0; f < enc.frames; ++f) {
+    const std::size_t row = f * ng;
+    const auto good = [&](std::size_t g) {
+      return RailPair{enc.good_one[row + g], enc.good_zero[row + g]};
+    };
+    const auto faulty = [&](std::size_t g) {
+      return RailPair{enc.fault_one[row + g], enc.fault_zero[row + g]};
+    };
+    for (std::size_t g = 0; g < ng; ++g)
+      s[g] = same(good(g), faulty(g)) ? kLitUndef : lit(enc.cnf.new_var());
+    for (std::size_t g = 0; g < ng; ++g) {
+      if (s[g] == kLitUndef) continue;
+      enc.cnf.add({~s[g], b.mk_diff(good(g), faulty(g))});
+      if (sink[g]) continue;
+      // Not observed here, so the effect must move on to a fanout. A DFF
+      // fanout would make g a D driver, so every fanout left is combinational.
+      fanout.assign(1, ~s[g]);
+      for (GateId h : cnl.fanouts(static_cast<GateId>(g)))
+        if (s[h] != kLitUndef) fanout.push_back(s[h]);
+      enc.cnf.add(fanout);
+    }
+    if (s[site] != kLitUndef) site_frames.push_back(s[site]);
+  }
+  // Some frame's path starts at the fault site. Empty when the site never
+  // differs: then no test exists and the formula is trivially UNSAT.
+  enc.cnf.add(std::move(site_frames));
+}
+
 MiterEncoding encode_impl(const CompiledNetlist& cnl, const Fault& fault, bool is_transition,
                           bool slow_to_rise, const EncodeOptions& options) {
   const std::size_t ng = cnl.num_gates();
@@ -286,6 +325,11 @@ MiterEncoding encode_impl(const CompiledNetlist& cnl, const Fault& fault, bool i
   // whose cone never reaches an observation point has no detect literals and
   // the empty clause makes the miter trivially UNSAT.
   enc.cnf.add(std::move(detect));
+
+  enc.base_vars = enc.cnf.num_vars;
+  enc.base_clauses = enc.cnf.clauses.size();
+  const bool d_pin_fault = fault.pin == 0 && fault_gate_type == GateType::Dff;
+  if (!enc.cnf.has_empty_clause && !d_pin_fault) add_active_path(b, cnl, fault.gate, enc);
   return enc;
 }
 

@@ -26,6 +26,17 @@
 // exists — the same claim an exhausted PODEM search makes, since Kleene
 // evaluation is monotone (a partial-assignment detection survives every
 // completion, and a binary test is its own completion).
+//
+// After the base miter comes a second clause group, Larrabee's active-path
+// ("D-chain") clauses, over variables numbered after every base variable:
+// per frame, a path variable s_g for each gate whose faulty rails differ
+// from its good rails, s_g -> diff(g), s_g -> OR of s_h over the
+// combinational fanouts h that have one (unless g is a PO or a DFF D
+// driver), and one clause OR-ing s_site over the frames. Every test has
+// such a path in its first detecting frame (DESIGN.md §5l), so the group
+// keeps satisfiability; it only tells the solver how an effect must
+// travel. The base formula is the prefix [0, base_clauses) over variables
+// [0, base_vars), literal for literal what it would be without the group.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +73,15 @@ struct MiterEncoding {
   std::vector<Var> pi_var;     // frame-major [frame * num_inputs + pi]
   std::vector<Var> state_var;  // [dff], empty when !state_assignable
   std::optional<Var> tf_prev_var;  // set when tf_prev_assignable took effect
-  // Debug rails (frame-major [frame * num_gates + gate]): the is-1/is-0
-  // literals of every net in each machine, for differential tests.
+  // Rails (frame-major [frame * num_gates + gate]): the is-1/is-0 literals
+  // of every net in each machine. The active-path group is built from them.
   std::vector<Lit> good_one, good_zero, fault_one, fault_zero;
+  // The base miter: clauses [0, base_clauses) over vars [0, base_vars).
+  // The rest of `cnf` is the active-path group (empty for DFF D-pin faults,
+  // whose effect is observed at the latch itself, and for a base miter that
+  // is already trivially UNSAT).
+  Var base_vars = 0;
+  std::size_t base_clauses = 0;
 };
 
 MiterEncoding encode_fault_miter(const CompiledNetlist& cnl, const Fault& fault,

@@ -1,5 +1,6 @@
 #include "sat/sat_engine.hpp"
 
+#include <cstddef>
 #include <utility>
 
 #include "atpg/frame_model.hpp"
@@ -44,6 +45,16 @@ bool confirm_and_fill(FrameModel& fm, const MiterEncoding& enc, const Solver& so
   return true;
 }
 
+/// Load clauses [0, num_clauses) over vars [0, num_vars) of `cnf` into a
+/// fresh solver and solve them.
+SolveStatus solve_prefix(const Cnf& cnf, Var num_vars, std::size_t num_clauses,
+                         const SolverOptions& sopt, Solver& solver) {
+  solver.ensure_vars(num_vars);
+  for (std::size_t i = 0; i < num_clauses; ++i)
+    if (!solver.add_clause(cnf.clauses[i])) break;  // UNSAT at top level; solve() reports it
+  return solver.solve(sopt);
+}
+
 template <class FaultT>
 SatResult prove_impl(const CompiledNetlist& cnl, const FaultT& fault,
                      const SatEngineOptions& options) {
@@ -62,36 +73,60 @@ SatResult prove_impl(const CompiledNetlist& cnl, const FaultT& fault,
   MiterEncoding enc = encode_fault_miter(cnl, fault, eopt);
 
   if (enc.cnf.has_empty_clause) {
-    // No observation point is reachable from the fault at this depth: the
-    // miter is UNSAT by construction, certificate = the empty clause itself.
+    // No observation point is reachable from the fault at this depth (or no
+    // frame's fault site can differ): the miter is UNSAT by construction,
+    // certificate = the empty clause itself.
     out.verdict = SatVerdict::RedundantProved;
     if (options.want_certificate)
       out.certificate = UnsatCertificate{enc.cnf.num_vars, enc.cnf.clauses, {Clause{}}};
     return out;
   }
 
-  Solver solver;
-  solver.ensure_vars(enc.cnf.num_vars);
-  for (const Clause& c : enc.cnf.clauses)
-    if (!solver.add_clause(c)) break;  // UNSAT at top level; solve() reports it
-
   SolverOptions sopt;
   sopt.max_conflicts = options.max_conflicts;
   sopt.cancel = options.cancel;
   sopt.record_proof = options.want_certificate;
-  const SolveStatus status = solver.solve(sopt);
+  const auto record_work = [&](const Solver& stage) {
+    const SolverStats& st = stage.stats();
+    out.stats += st;
+    obs::count(obs::Counter::SatConflicts, st.conflicts);
+    obs::count(obs::Counter::SatDecisions, st.decisions);
+    obs::count(obs::Counter::SatPropagations, st.propagations);
+  };
 
-  out.stats = solver.stats();
-  obs::count(obs::Counter::SatConflicts, out.stats.conflicts);
-  obs::count(obs::Counter::SatDecisions, out.stats.decisions);
-  obs::count(obs::Counter::SatPropagations, out.stats.propagations);
+  // Stage 1: base miter plus the active-path group. Only an Unsat is used:
+  // the group keeps satisfiability but changes which model the solver finds,
+  // and tests must stay those of the plain miter.
+  if (enc.cnf.clauses.size() > enc.base_clauses) {
+    Solver path;
+    const SolveStatus status =
+        solve_prefix(enc.cnf, enc.cnf.num_vars, enc.cnf.clauses.size(), sopt, path);
+    record_work(path);
+    if (status == SolveStatus::Unsat) {
+      out.verdict = SatVerdict::RedundantProved;
+      if (options.want_certificate)
+        out.certificate = UnsatCertificate{enc.cnf.num_vars, enc.cnf.clauses, path.proof()};
+      return out;
+    }
+  }
+
+  // Stage 2: the base miter alone, solved exactly as without the group.
+  obs::count(obs::Counter::SatPlainSolves);
+  Solver solver;
+  const SolveStatus status = solve_prefix(enc.cnf, enc.base_vars, enc.base_clauses, sopt, solver);
+  record_work(solver);
 
   switch (status) {
     case SolveStatus::Aborted: return out;
     case SolveStatus::Unsat:
       out.verdict = SatVerdict::RedundantProved;
-      if (options.want_certificate)
-        out.certificate = UnsatCertificate{enc.cnf.num_vars, enc.cnf.clauses, solver.proof()};
+      if (options.want_certificate) {
+        const auto first = enc.cnf.clauses.begin();
+        out.certificate = UnsatCertificate{
+            enc.base_vars,
+            {first, first + static_cast<std::ptrdiff_t>(enc.base_clauses)},
+            solver.proof()};
+      }
       return out;
     case SolveStatus::Sat: break;
   }

@@ -2,7 +2,11 @@
 //
 // One call proves one fault: encode the time-frame-expanded miter
 // (sat/encode.hpp), solve it with the in-repo CDCL solver (sat/solver.hpp),
-// and turn the answer into a verdict the ATPG loops can trust:
+// and turn the answer into a verdict the ATPG loops can trust. The solve has
+// two stages. The first runs on the base miter plus its active-path clauses;
+// if that refutes the fault, the call is RedundantProved. Otherwise the base
+// miter alone is solved under the same budget and decides the verdict, so a
+// test is always the plain miter's model:
 //
 //  * Sat    — the model is decoded into (scan-in, PI vectors) and CONFIRMED
 //             by replaying it through the FrameModel pair simulator before
@@ -68,8 +72,10 @@ struct SatResult {
   /// solver's choice when tf_prev_assignable, else tf_prev_init).
   V3 launch_prev = V3::X;
 
-  SolverStats stats;
-  std::optional<UnsatCertificate> certificate;  // when requested, on UNSAT
+  SolverStats stats;  // both solve stages summed
+  /// When requested, on UNSAT: the stage that refuted the fault supplies its
+  /// originals (base plus path clauses, or the base alone) and its proof.
+  std::optional<UnsatCertificate> certificate;
 };
 
 class SatEngine {

@@ -45,6 +45,16 @@ struct SolverStats {
   std::uint64_t restarts = 0;
   std::uint64_t learned = 0;       // learnt clauses added
   std::uint64_t removed = 0;       // learnt clauses dropped by DB reduction
+
+  SolverStats& operator+=(const SolverStats& o) noexcept {
+    conflicts += o.conflicts;
+    decisions += o.decisions;
+    propagations += o.propagations;
+    restarts += o.restarts;
+    learned += o.learned;
+    removed += o.removed;
+    return *this;
+  }
 };
 
 class Solver {

@@ -13,9 +13,11 @@
 
 #include "fault/fault.hpp"
 #include "netlist/builder.hpp"
+#include "sat/encode.hpp"
 #include "sat/sat_engine.hpp"
 #include "scan/scan_insertion.hpp"
 #include "sim/compiled_netlist.hpp"
+#include "workloads/suite.hpp"
 
 namespace uniscan::sat {
 namespace {
@@ -161,6 +163,32 @@ TEST(SatCertificate, EngineCertificateValidates) {
   const UnsatCertificate cert = engine_certificate();
   ASSERT_FALSE(cert.steps.empty());
   EXPECT_TRUE(check_certificate(cert));
+}
+
+TEST(SatCertificate, ActivePathStageCertificateValidates) {
+  // b02's g9 input-2 stuck-at-1 at depth 2 is refuted by the first solve
+  // stage, the miter plus its active-path clauses, and only after the
+  // solver learns clauses. Its certificate must carry both clause groups as
+  // originals and still pass the independent checker.
+  const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("b02")));
+  const CompiledNetlist compiled(sc.netlist);
+  const Fault fault{*sc.netlist.find("g9"), 2, true};
+  SatEngineOptions opt;
+  opt.frames = 2;
+  opt.want_certificate = true;
+  const SatResult r = SatEngine(compiled).prove(fault, opt);
+  ASSERT_EQ(r.verdict, SatVerdict::RedundantProved);
+  ASSERT_TRUE(r.certificate.has_value());
+
+  EncodeOptions eopt;
+  eopt.frames = 2;
+  const MiterEncoding enc = encode_fault_miter(compiled, fault, eopt);
+  ASSERT_GT(enc.cnf.clauses.size(), enc.base_clauses);
+  EXPECT_EQ(r.certificate->clauses.size(), enc.cnf.clauses.size())
+      << "the path stage did not decide this fault";
+  EXPECT_EQ(r.certificate->num_vars, enc.cnf.num_vars);
+  EXPECT_GT(r.certificate->steps.size(), 1u) << "the proof should have learned steps";
+  EXPECT_TRUE(check_certificate(*r.certificate));
 }
 
 TEST(SatCertificate, SolverProofOnPigeonholeValidates) {
