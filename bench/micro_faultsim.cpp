@@ -110,9 +110,8 @@ BENCHMARK(BM_ParallelFaultSimNoObs)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSimWidth(benchmark::State& state) {
   // Slot-width ablation: the same run at 63, 255 and 511 faults per batch.
-  // On a plain build the wider words run portable lane loops; configure
-  // with -DUNISCAN_AVX2=ON / -DUNISCAN_AVX512=ON for the intrinsic paths
-  // (EXPERIMENTS.md records both). Arg(0) = auto (build/CPU default).
+  // A width the CPU runs natively takes its AVX2 / AVX-512 kernel entry,
+  // a wider one the baseline body. Arg(0) = auto (the CPU's native width).
   Setup& s = s298();
   FaultSimulator sim(s.nl);
   set_global_slot_width(static_cast<SlotWidth>(state.range(0)));

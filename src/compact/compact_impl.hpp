@@ -457,9 +457,10 @@ CompactionResult omission_impl(const Netlist& nl, const TestSequence& seq,
   must.reserve(must_idx.size());
   for (std::size_t i : must_idx) must.push_back(faults[i]);
 
-  // Width dispatch on the faults the engine actually packs; with repacking
-  // disabled this is exactly the process-wide slot width.
-  switch (resolved_slot_width_for(must.size())) {
+  // An explicit slot width applies as given. Under Auto the engine keeps
+  // 64-bit words: a trial stops once its batch's state re-joins the
+  // accepted run (DESIGN.md §5c), which a wider batch reaches later.
+  switch (slot_width_is_auto() ? SlotWidth::W64 : resolved_slot_width()) {
     case SlotWidth::W256:
       omission_passes<Simulator, Simd256>(sim.compiled(), seq, std::move(must), options, result);
       break;

@@ -44,19 +44,18 @@ SlotWidth env_slot_width() noexcept {
   return w;
 }
 
-/// Widest width whose SIMD path is compiled in AND supported by this CPU.
-/// Plain builds (no -mavx2/-mavx512f) resolve to 64 so default-configured
-/// runs behave exactly like the pre-width engine.
-SlotWidth auto_slot_width() noexcept {
-#if defined(__AVX512F__)
-  if (__builtin_cpu_supports("avx512f")) return SlotWidth::W512;
-#endif
-#if defined(__AVX2__)
-  if (__builtin_cpu_supports("avx2")) return SlotWidth::W256;
-#endif
-  return SlotWidth::W64;
-}
 }  // namespace
+
+SlotWidth native_slot_width() noexcept {
+#if defined(__x86_64__)
+  static const SlotWidth w = __builtin_cpu_supports("avx512f") ? SlotWidth::W512
+                             : __builtin_cpu_supports("avx2")  ? SlotWidth::W256
+                                                               : SlotWidth::W64;
+  return w;
+#else
+  return SlotWidth::W64;
+#endif
+}
 
 void set_global_slot_width(SlotWidth w) noexcept {
   g_width.store(w, std::memory_order_relaxed);
@@ -67,7 +66,7 @@ SlotWidth global_slot_width() noexcept { return g_width.load(std::memory_order_r
 SlotWidth resolved_slot_width() noexcept {
   SlotWidth w = env_slot_width();
   if (w == SlotWidth::Auto) w = g_width.load(std::memory_order_relaxed);
-  if (w == SlotWidth::Auto) w = auto_slot_width();
+  if (w == SlotWidth::Auto) w = native_slot_width();
   return w;
 }
 
@@ -134,7 +133,7 @@ SlotWidth efficient_slot_width(std::size_t live, SlotWidth widest) noexcept {
 
 SlotWidth resolved_slot_width_for(std::size_t n) noexcept {
   if (!global_repack() || !slot_width_is_auto()) return resolved_slot_width();
-  return efficient_slot_width(n, auto_slot_width());
+  return efficient_slot_width(n, native_slot_width());
 }
 
 }  // namespace uniscan

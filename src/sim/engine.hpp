@@ -14,10 +14,14 @@ namespace uniscan {
 
 /// Slot-word width of the parallel-fault simulators: how many machines one
 /// W3T word carries (64/256/512, i.e. 63/255/511 faults per batch). Auto
-/// resolves to the widest SIMD level both compiled into this binary
-/// (-mavx2 / -mavx512f) and reported by the CPU, else 64. The width is read
-/// once at runner/session construction.
+/// resolves to native_slot_width(). The width is read once at
+/// runner/session construction.
 enum class SlotWidth : std::uint16_t { Auto = 0, W64 = 64, W256 = 256, W512 = 512 };
+
+/// The widest width this CPU runs natively: 512 with AVX-512F, 256 with
+/// AVX2, else 64 (CPUID read once). Every binary carries the wide kernel
+/// entries (sim/fault_sim.cpp), so no build flag is involved.
+SlotWidth native_slot_width() noexcept;
 
 /// Select the slot width used by runners and sessions built from now on.
 /// The UNISCAN_SLOT_WIDTH environment variable (read once, at first use)
@@ -27,7 +31,7 @@ void set_global_slot_width(SlotWidth w) noexcept;
 SlotWidth global_slot_width() noexcept;
 
 /// The width runners built now would use: env override, else the configured
-/// width, with Auto resolved against the compiled-in ISA and the CPU.
+/// width, with Auto resolved to native_slot_width().
 /// Never returns Auto.
 SlotWidth resolved_slot_width() noexcept;
 

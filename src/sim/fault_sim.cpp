@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/counters.hpp"
 #include "sim/sequential_sim.hpp"
@@ -73,8 +74,9 @@ void StuckAtModel::Injector<Word>::bind(const CompiledNetlist& cnl,
 }
 
 template <class Word>
-W3T<Word> StuckAtModel::Injector<Word>::eval_forced(std::size_t k, GateId g, const W* values,
-                                                    SimBatchStateT<Word>&) const noexcept {
+inline W3T<Word> StuckAtModel::Injector<Word>::eval_forced(std::size_t k, GateId g,
+                                                           const W* values,
+                                                           SimBatchStateT<Word>&) const noexcept {
   // The hottest per-frame path after the type runs: one call per forced
   // gate per frame, and the number of forced gates per batch grows with the
   // slot width. Fanins stream straight into the accumulator — no staging
@@ -167,8 +169,8 @@ void TransitionModel::Injector<Word>::patch(GateId g, W& w, SimBatchStateT<Word>
 }
 
 template <class Word>
-void TransitionModel::Injector<Word>::apply_branches(GateId g, W* pins, std::size_t n,
-                                                     SimBatchStateT<Word>& s) const {
+inline void TransitionModel::Injector<Word>::apply_branches(GateId g, W* pins, std::size_t n,
+                                                            SimBatchStateT<Word>& s) const {
   for (std::int32_t i = branch_head_[g]; i != kNone; i = next_[i]) {
     const TransitionFault& f = faults_[i];
     const std::size_t p = static_cast<std::size_t>(f.pin);
@@ -181,8 +183,9 @@ void TransitionModel::Injector<Word>::apply_branches(GateId g, W* pins, std::siz
 }
 
 template <class Word>
-W3T<Word> TransitionModel::Injector<Word>::eval_forced(std::size_t, GateId g, const W* values,
-                                                       SimBatchStateT<Word>& s) const {
+inline W3T<Word> TransitionModel::Injector<Word>::eval_forced(std::size_t, GateId g,
+                                                              const W* values,
+                                                              SimBatchStateT<Word>& s) const {
   const auto fan = cnl_->fanins(g);
   W buf[64];
   for (std::size_t p = 0; p < fan.size(); ++p) buf[p] = values[fan[p]];
@@ -272,12 +275,53 @@ SimBatchStateT<Word> BatchRunnerT<Word, Model>::initial_state() const {
   return s;
 }
 
+namespace {
+
+#if defined(__x86_64__)
+// The ISA kernel entries: the one run_frames body, flattened into a function
+// compiled for AVX2 / AVX-512F so the Simd256 / Simd512 operators inlined
+// there lower to ymm / zmm. The wider ISA stays confined to these two
+// internal functions: whatever they inline keeps its baseline out-of-line
+// copy, so the binary still runs on any x86-64 (CI disassembles uniscan_cli
+// to check).
+template <class Body>
+[[gnu::target("avx2"), gnu::flatten]] std::uint64_t kernel_avx2(const Body& body) {
+  return body();
+}
+template <class Body>
+[[gnu::target("avx512f"), gnu::flatten]] std::uint64_t kernel_avx512(const Body& body) {
+  return body();
+}
+#endif
+
+/// `body()` on the ISA entry of slot word `Word`; std::uint64_t (and every
+/// word off x86-64) has none and runs it as is.
+template <class Word, class Body>
+std::uint64_t on_isa_entry(const Body& body) {
+#if defined(__x86_64__)
+  if constexpr (std::is_same_v<Word, Simd256>) return kernel_avx2(body);
+  if constexpr (std::is_same_v<Word, Simd512>) return kernel_avx512(body);
+#endif
+  return body();
+}
+
+}  // namespace
+
 template <class Word, class Model>
 std::uint64_t BatchRunnerT<Word, Model>::advance(State& s, const SequenceView& view,
                                                  std::vector<W3T<Word>>& values,
                                                  const AdvanceOptions& opt) const {
+  return advance_on(kSlots <= slot_width_bits(native_slot_width()), s, view, values, opt);
+}
+
+template <class Word, class Model>
+std::uint64_t BatchRunnerT<Word, Model>::advance_on(bool isa_entry, State& s,
+                                                    const SequenceView& view,
+                                                    std::vector<W3T<Word>>& values,
+                                                    const AdvanceOptions& opt) const {
   const std::size_t start_frame = s.frame;
-  const std::uint64_t evals = run_frames(s, view, values, opt);
+  const auto body = [&] { return run_frames(s, view, values, opt); };
+  const std::uint64_t evals = isa_entry ? on_isa_entry<Word>(body) : body();
   // Single telemetry choke point: every fault-simulation consumer (one-shot
   // runs, sessions, compaction trials) of either fault model advances
   // through here, so GateEvals needs no per-object plumbing. ConePruneHits

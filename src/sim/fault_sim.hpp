@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -72,6 +73,18 @@ struct LatchRecord {
   std::uint32_t ff_index = 0;
   std::uint32_t time = 0;
 };
+
+namespace detail {
+/// Test seam: BatchRunnerT::advance() pinned to the baseline kernel body
+/// (isa_entry = false) or to the slot word's ISA entry (isa_entry = true;
+/// taken only when the CPU runs it, see native_slot_width()).
+struct KernelSeam {
+  template <class Runner, class... Args>
+  static std::uint64_t advance(const Runner& r, bool isa_entry, Args&&... args) {
+    return r.advance_on(isa_entry, std::forward<Args>(args)...);
+  }
+};
+}  // namespace detail
 
 /// Incremental engine for one batch of up to kSlots-1 faults of `Model`.
 /// The injection tables and the batch program are built once at
@@ -132,11 +145,18 @@ class BatchRunnerT {
   /// After an early exit, only the detection fields of `s` are
   /// meaningful; a state intended for later resumption must come from a
   /// checkpoint or a non-early-exit run. A stop by the probe leaves a
-  /// resumable state entering frame s.frame.
+  /// resumable state entering frame s.frame. Runs the kernel on the slot
+  /// word's ISA entry when the CPU has it (Simd256: AVX2, Simd512:
+  /// AVX-512F), else on the baseline body; both compute the same bits.
   std::uint64_t advance(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
                         const AdvanceOptions& opt) const;
 
  private:
+  friend struct detail::KernelSeam;
+
+  std::uint64_t advance_on(bool isa_entry, State& s, const SequenceView& view,
+                           std::vector<W3T<Word>>& values, const AdvanceOptions& opt) const;
+  /// The kernel body every entry runs.
   std::uint64_t run_frames(State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
                            const AdvanceOptions& opt) const;
 

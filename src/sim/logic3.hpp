@@ -104,8 +104,6 @@ struct W3T {
     else if (v == V3::One) w_set(v1, slot);
   }
 
-  // Implicitly constexpr where the Word's operator== is (std::uint64_t);
-  // the SIMD words compare via intrinsics, which never are.
   bool operator==(const W3T&) const noexcept = default;
 };
 

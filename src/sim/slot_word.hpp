@@ -8,151 +8,64 @@
 // generic over all three.
 //
 // The wide types are plain arrays of std::uint64_t lanes. Their bitwise
-// operators use AVX2 / AVX-512 intrinsics when the translation unit is
-// compiled with -mavx2 / -mavx512f and fall back to portable per-lane loops
-// otherwise (which still auto-vectorize under the baseline ISA), so non-x86
-// and plain builds stay green and bit-identical: every path computes the
-// same bits, only the instruction selection differs. Runtime selection
-// between the widths lives in sim/engine.hpp (SlotWidth / CPUID dispatch).
+// operators work on a GCC generic vector of the word's size, which lowers
+// to the widest vector ISA of the function they are inlined into: zmm
+// inside the AVX-512 kernel entry, ymm inside the AVX2 one, xmm pairs in
+// baseline code (sim/fault_sim.cpp dispatches by CPUID). Vector values
+// never cross a function boundary — the operators take and return the lane
+// struct and touch vectors only by reference — so no function's ABI
+// depends on the ISA. Every lowering computes the same bits.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__AVX2__) || defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
 namespace uniscan {
 
-/// 256-bit slot word: 4 x 64 lanes, one machine per bit.
-struct alignas(32) Simd256 {
-  std::uint64_t lane[4] = {0, 0, 0, 0};
+/// Slot word of N x 64 lanes, one machine per bit: Simd256 (N = 4) and
+/// Simd512 (N = 8).
+template <unsigned N>
+struct alignas(8 * N) SimdWord {
+  std::uint64_t lane[N] = {};
 
-  friend Simd256 operator&(const Simd256& a, const Simd256& b) noexcept {
-#if defined(__AVX2__)
-    Simd256 r;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(r.lane),
-                       _mm256_and_si256(_mm256_load_si256(reinterpret_cast<const __m256i*>(a.lane)),
-                                        _mm256_load_si256(reinterpret_cast<const __m256i*>(b.lane))));
-    return r;
-#else
-    return {{a.lane[0] & b.lane[0], a.lane[1] & b.lane[1], a.lane[2] & b.lane[2],
-             a.lane[3] & b.lane[3]}};
-#endif
+  [[gnu::always_inline]] friend SimdWord operator&(const SimdWord& a, const SimdWord& b) noexcept {
+    return lanewise(a, b, [](Vec& x, const Vec& y) { x &= y; });
   }
-  friend Simd256 operator|(const Simd256& a, const Simd256& b) noexcept {
-#if defined(__AVX2__)
-    Simd256 r;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(r.lane),
-                       _mm256_or_si256(_mm256_load_si256(reinterpret_cast<const __m256i*>(a.lane)),
-                                       _mm256_load_si256(reinterpret_cast<const __m256i*>(b.lane))));
-    return r;
-#else
-    return {{a.lane[0] | b.lane[0], a.lane[1] | b.lane[1], a.lane[2] | b.lane[2],
-             a.lane[3] | b.lane[3]}};
-#endif
+  [[gnu::always_inline]] friend SimdWord operator|(const SimdWord& a, const SimdWord& b) noexcept {
+    return lanewise(a, b, [](Vec& x, const Vec& y) { x |= y; });
   }
-  friend Simd256 operator^(const Simd256& a, const Simd256& b) noexcept {
-#if defined(__AVX2__)
-    Simd256 r;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(r.lane),
-                       _mm256_xor_si256(_mm256_load_si256(reinterpret_cast<const __m256i*>(a.lane)),
-                                        _mm256_load_si256(reinterpret_cast<const __m256i*>(b.lane))));
-    return r;
-#else
-    return {{a.lane[0] ^ b.lane[0], a.lane[1] ^ b.lane[1], a.lane[2] ^ b.lane[2],
-             a.lane[3] ^ b.lane[3]}};
-#endif
+  [[gnu::always_inline]] friend SimdWord operator^(const SimdWord& a, const SimdWord& b) noexcept {
+    return lanewise(a, b, [](Vec& x, const Vec& y) { x ^= y; });
   }
-  friend Simd256 operator~(const Simd256& a) noexcept {
-#if defined(__AVX2__)
-    Simd256 r;
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(r.lane),
-        _mm256_xor_si256(_mm256_load_si256(reinterpret_cast<const __m256i*>(a.lane)),
-                         _mm256_set1_epi64x(-1)));
-    return r;
-#else
-    return {{~a.lane[0], ~a.lane[1], ~a.lane[2], ~a.lane[3]}};
-#endif
+  [[gnu::always_inline]] friend SimdWord operator~(const SimdWord& a) noexcept {
+    return lanewise(a, a, [](Vec& x, const Vec&) { x = ~x; });
   }
-  friend bool operator==(const Simd256& a, const Simd256& b) noexcept {
-#if defined(__AVX2__)
-    const __m256i eq =
-        _mm256_cmpeq_epi64(_mm256_load_si256(reinterpret_cast<const __m256i*>(a.lane)),
-                           _mm256_load_si256(reinterpret_cast<const __m256i*>(b.lane)));
-    return _mm256_movemask_epi8(eq) == -1;
-#else
-    return a.lane[0] == b.lane[0] && a.lane[1] == b.lane[1] && a.lane[2] == b.lane[2] &&
-           a.lane[3] == b.lane[3];
-#endif
+  friend constexpr bool operator==(const SimdWord& a, const SimdWord& b) noexcept {
+    std::uint64_t diff = 0;
+    for (unsigned j = 0; j < N; ++j) diff |= a.lane[j] ^ b.lane[j];
+    return diff == 0;
+  }
+
+ private:
+  typedef std::uint64_t Vec __attribute__((vector_size(8 * N)));
+
+  /// `op(Vec& x, const Vec& y)` over the lanes of a and b, result from x.
+  template <class Op>
+  [[gnu::always_inline]] static SimdWord lanewise(const SimdWord& a, const SimdWord& b,
+                                                  Op op) noexcept {
+    Vec x, y;
+    __builtin_memcpy(&x, a.lane, sizeof x);
+    __builtin_memcpy(&y, b.lane, sizeof y);
+    op(x, y);
+    SimdWord r;
+    __builtin_memcpy(r.lane, &x, sizeof x);
+    return r;
   }
 };
 
-/// 512-bit slot word: 8 x 64 lanes, one machine per bit.
-struct alignas(64) Simd512 {
-  std::uint64_t lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-
-  friend Simd512 operator&(const Simd512& a, const Simd512& b) noexcept {
-#if defined(__AVX512F__)
-    Simd512 r;
-    _mm512_store_si512(r.lane, _mm512_and_si512(_mm512_load_si512(a.lane),
-                                                _mm512_load_si512(b.lane)));
-    return r;
-#else
-    Simd512 r;
-    for (int j = 0; j < 8; ++j) r.lane[j] = a.lane[j] & b.lane[j];
-    return r;
-#endif
-  }
-  friend Simd512 operator|(const Simd512& a, const Simd512& b) noexcept {
-#if defined(__AVX512F__)
-    Simd512 r;
-    _mm512_store_si512(r.lane, _mm512_or_si512(_mm512_load_si512(a.lane),
-                                               _mm512_load_si512(b.lane)));
-    return r;
-#else
-    Simd512 r;
-    for (int j = 0; j < 8; ++j) r.lane[j] = a.lane[j] | b.lane[j];
-    return r;
-#endif
-  }
-  friend Simd512 operator^(const Simd512& a, const Simd512& b) noexcept {
-#if defined(__AVX512F__)
-    Simd512 r;
-    _mm512_store_si512(r.lane, _mm512_xor_si512(_mm512_load_si512(a.lane),
-                                                _mm512_load_si512(b.lane)));
-    return r;
-#else
-    Simd512 r;
-    for (int j = 0; j < 8; ++j) r.lane[j] = a.lane[j] ^ b.lane[j];
-    return r;
-#endif
-  }
-  friend Simd512 operator~(const Simd512& a) noexcept {
-#if defined(__AVX512F__)
-    Simd512 r;
-    _mm512_store_si512(r.lane,
-                       _mm512_xor_si512(_mm512_load_si512(a.lane), _mm512_set1_epi64(-1)));
-    return r;
-#else
-    Simd512 r;
-    for (int j = 0; j < 8; ++j) r.lane[j] = ~a.lane[j];
-    return r;
-#endif
-  }
-  friend bool operator==(const Simd512& a, const Simd512& b) noexcept {
-#if defined(__AVX512F__)
-    return _mm512_cmpneq_epi64_mask(_mm512_load_si512(a.lane), _mm512_load_si512(b.lane)) == 0;
-#else
-    for (int j = 0; j < 8; ++j)
-      if (a.lane[j] != b.lane[j]) return false;
-    return true;
-#endif
-  }
-};
+using Simd256 = SimdWord<4>;
+using Simd512 = SimdWord<8>;
 
 /// Compile-time shape of a slot word plus uniform lane access, so generic
 /// simulator code can treat std::uint64_t and the SIMD words identically.
@@ -169,26 +82,22 @@ struct WordTraits<std::uint64_t> {
   static constexpr std::uint64_t& lane_ref(std::uint64_t& w, unsigned) noexcept { return w; }
 };
 
-template <>
-struct WordTraits<Simd256> {
-  static constexpr unsigned kBits = 256;
-  static constexpr unsigned kLanes = 4;
-  static constexpr Simd256 zero() noexcept { return {}; }
-  static constexpr Simd256 ones() noexcept { return {{~0ULL, ~0ULL, ~0ULL, ~0ULL}}; }
-  static constexpr std::uint64_t lane(const Simd256& w, unsigned j) noexcept { return w.lane[j]; }
-  static constexpr std::uint64_t& lane_ref(Simd256& w, unsigned j) noexcept { return w.lane[j]; }
-};
-
-template <>
-struct WordTraits<Simd512> {
-  static constexpr unsigned kBits = 512;
-  static constexpr unsigned kLanes = 8;
-  static constexpr Simd512 zero() noexcept { return {}; }
-  static constexpr Simd512 ones() noexcept {
-    return {{~0ULL, ~0ULL, ~0ULL, ~0ULL, ~0ULL, ~0ULL, ~0ULL, ~0ULL}};
+template <unsigned N>
+struct WordTraits<SimdWord<N>> {
+  static constexpr unsigned kBits = 64 * N;
+  static constexpr unsigned kLanes = N;
+  static constexpr SimdWord<N> zero() noexcept { return {}; }
+  static constexpr SimdWord<N> ones() noexcept {
+    SimdWord<N> w;
+    for (auto& l : w.lane) l = ~0ULL;
+    return w;
   }
-  static constexpr std::uint64_t lane(const Simd512& w, unsigned j) noexcept { return w.lane[j]; }
-  static constexpr std::uint64_t& lane_ref(Simd512& w, unsigned j) noexcept { return w.lane[j]; }
+  static constexpr std::uint64_t lane(const SimdWord<N>& w, unsigned j) noexcept {
+    return w.lane[j];
+  }
+  static constexpr std::uint64_t& lane_ref(SimdWord<N>& w, unsigned j) noexcept {
+    return w.lane[j];
+  }
 };
 
 /// True iff any bit of `w` is set. The lane loop unrolls (kLanes is a

@@ -51,7 +51,10 @@ struct TransitionModel {
     /// Rewrite the faulted slots of `g`'s driven value and record the
     /// launch values.
     void patch(GateId g, W& w, SimBatchStateT<Word>& s) const;
-    W eval_forced(std::size_t k, GateId g, const W* values, SimBatchStateT<Word>& s) const;
+    // Hot like StuckAtModel's: inlined into the kernel's fixup loop, so the
+    // ISA entries never call out to a baseline copy.
+    [[gnu::always_inline]] W eval_forced(std::size_t k, GateId g, const W* values,
+                                         SimBatchStateT<Word>& s) const;
     W dff_input(std::size_t j, GateId ff, W d, SimBatchStateT<Word>& s) const;
     /// Commit the launch values captured this frame into s.prev_driven.
     void end_frame(SimBatchStateT<Word>& s) const;
@@ -60,7 +63,8 @@ struct TransitionModel {
     static constexpr std::int32_t kNone = -1;
 
     /// Apply g's branch faults on pins < n of `pins` (in place).
-    void apply_branches(GateId g, W* pins, std::size_t n, SimBatchStateT<Word>& s) const;
+    [[gnu::always_inline]] void apply_branches(GateId g, W* pins, std::size_t n,
+                                               SimBatchStateT<Word>& s) const;
 
     const CompiledNetlist* cnl_;
     std::span<const TransitionFault> faults_;

@@ -145,7 +145,7 @@ TEST(CompiledNetlist, FullEvalMatchesPerGateReference) {
 }
 
 /// The kernel configurations every test below sweeps: thread counts times
-/// slot widths (a SIMD width the build lacks runs its portable lane loops).
+/// slot widths (a SIMD width the CPU lacks runs the baseline kernel body).
 constexpr std::size_t kThreads[] = {1, 2, 4, 8};
 constexpr SlotWidth kWidths[] = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512};
 

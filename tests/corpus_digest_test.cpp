@@ -186,7 +186,7 @@ TEST(CorpusDigestSlow, AnchorsInvariantAcrossFullMatrix) {
                                                 SlotWidth::W512};
 
   // s1423: every width at every thread count, repacking on and off
-  // (unavailable SIMD widths run their portable lane loops — still a valid
+  // (a SIMD width the CPU lacks runs the baseline kernel body — still a valid
   // run of the width-dispatch path).
   {
     const CorpusEntry* e = reg.find("s1423");

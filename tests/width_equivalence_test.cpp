@@ -6,13 +6,15 @@
 // running the 64-bit single-threaded configuration as the reference and
 // sweeping the full width × thread matrix against it, for both fault
 // models, the one-shot simulators, the omission engine, and the streaming
-// sessions (including the snapshot width-tagging contract).
+// sessions (including the snapshot width-tagging contract), and by running
+// the kernel's AVX2 / AVX-512 entries against its baseline body.
 //
 // The same file builds twice: the default (tier1) matrix in uniscan_tests,
 // and a wider fuzz-circuit matrix in uniscan_slow_tests
 // (-DUNISCAN_SLOW_FUZZ, ctest label `slow`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "compact/omission.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/transition_fault.hpp"
+#include "obs/counters.hpp"
 #include "scan/scan_insertion.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_sim.hpp"
@@ -172,6 +175,100 @@ TEST(WidthEquivalence, OmissionCompactionMatrix) {
       EXPECT_EQ(got.rounds, want.rounds);
     }
   }
+}
+
+/// Batch advances omission_compact spends in its engine under the current
+/// width: the total minus its two one-shot gradings (before and after),
+/// which run at the one-shot simulator's own width.
+std::uint64_t omission_engine_batches(const Netlist& nl, const TestSequence& seq,
+                                      std::span<const Fault> faults) {
+  const std::size_t per = slot_width_bits(resolved_slot_width_for(faults.size())) - 1;
+  const obs::CounterScope scope;
+  omission_compact(nl, seq, faults, {});
+  return scope.delta(obs::Counter::BatchesRun) - 2 * ((faults.size() + per - 1) / per);
+}
+
+TEST(WidthEquivalence, OmissionEngineKeepsNarrowWordsUnderAuto) {
+  // Under Auto the omission engine runs 64-bit batches even where the CPU
+  // runs wider words; an explicit width still reaches it.
+  for (const SlotWidth w : {SlotWidth::W64, SlotWidth::W256}) {
+    const WidthGuard probe(w);
+    if (resolved_slot_width() != w) GTEST_SKIP() << "width forced by environment";
+  }
+  if (!obs::enabled()) GTEST_SKIP() << "counters disabled";
+  const ScanCircuit sc = insert_scan(make_wide_circuit());
+  const FaultList fl = FaultList::collapsed(sc.netlist);
+  const TestSequence seq = make_random_sequence(sc.netlist, 48, 11);
+  const auto engine_batches = [&](SlotWidth w) {
+    const WidthGuard wg(w);
+    return omission_engine_batches(sc.netlist, seq, fl.faults());
+  };
+  const std::uint64_t narrow = engine_batches(SlotWidth::W64);
+  EXPECT_EQ(engine_batches(SlotWidth::Auto), narrow);
+  EXPECT_LT(engine_batches(SlotWidth::W256), narrow);
+}
+
+// ---------------------------------------------------------------------------
+// ISA kernel entries: a wide word's batch run through the baseline kernel
+// body and through its AVX2 / AVX-512 entry must agree bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Advance the first batch of `faults` over `seq` through the baseline body
+/// and through the ISA entry of `Word`, and compare everything the kernel
+/// writes.
+template <class Word, class Model>
+void expect_isa_entry_matches_baseline(const Netlist& nl,
+                                       std::span<const typename Model::fault_type> faults,
+                                       const TestSequence& seq) {
+  using Runner = BatchRunnerT<Word, Model>;
+  SCOPED_TRACE("width=" + std::to_string(Runner::kSlots));
+  const auto batch = faults.first(std::min<std::size_t>(faults.size(), Runner::kSlots - 1));
+  const Runner runner(*nl.compiled_shared(), batch);
+  const SequenceView view(seq);
+  struct Run {
+    SimBatchStateT<Word> s;
+    std::vector<LatchRecord> latched;
+    std::vector<Word> raw;
+    std::uint64_t evals = 0;
+  };
+  const auto run = [&](bool isa_entry) {
+    Run r{runner.initial_state(), std::vector<LatchRecord>(batch.size()),
+          std::vector<Word>(seq.length()), 0};
+    typename Runner::AdvanceOptions opt;
+    opt.early_exit = false;
+    opt.count_cap = 4;
+    opt.latched = r.latched;
+    opt.raw_obs = r.raw.data();
+    std::vector<W3T<Word>> values;
+    r.evals = detail::KernelSeam::advance(runner, isa_entry, r.s, view, values, opt);
+    return r;
+  };
+  const Run base = run(false);
+  const Run entry = run(true);
+  EXPECT_EQ(entry.evals, base.evals);
+  EXPECT_TRUE(entry.raw == base.raw);
+  expect_same_latches(entry.latched, base.latched, "latch");
+  EXPECT_TRUE(entry.s.detected_slots == base.s.detected_slots);
+  EXPECT_TRUE(entry.s.live == base.s.live);
+  EXPECT_EQ(entry.s.detect_time, base.s.detect_time);
+  EXPECT_EQ(entry.s.detect_count, base.s.detect_count);
+  EXPECT_TRUE(entry.s.state == base.s.state);
+  EXPECT_EQ(entry.s.prev_driven, base.s.prev_driven);
+  EXPECT_EQ(entry.s.frame, base.s.frame);
+}
+
+TEST(WidthEquivalence, IsaEntriesMatchBaselineBody) {
+  const unsigned native = slot_width_bits(native_slot_width());
+  if (native == 64) GTEST_SKIP() << "CPU runs neither AVX2 nor AVX-512F";
+  const ScanCircuit sc = insert_scan(make_wide_circuit());
+  const FaultList fl = FaultList::collapsed(sc.netlist);
+  const auto tfaults = enumerate_transition_faults(sc.netlist);
+  const TestSequence seq = make_random_sequence(sc.netlist, 48, 11);
+  expect_isa_entry_matches_baseline<Simd256, StuckAtModel>(sc.netlist, fl.faults(), seq);
+  expect_isa_entry_matches_baseline<Simd256, TransitionModel>(sc.netlist, tfaults, seq);
+  if (native < 512) return;
+  expect_isa_entry_matches_baseline<Simd512, StuckAtModel>(sc.netlist, fl.faults(), seq);
+  expect_isa_entry_matches_baseline<Simd512, TransitionModel>(sc.netlist, tfaults, seq);
 }
 
 // ---------------------------------------------------------------------------
