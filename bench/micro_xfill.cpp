@@ -43,20 +43,6 @@ void BM_XFillPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_XFillPolicy)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-void BM_DiagnoseFullUniverse(benchmark::State& state) {
-  // Cost of one full-universe diagnosis pass on a compacted sequence.
-  Setup& s = setup();
-  static const AtpgResult atpg = generate_tests(s.sc, s.fl, {});
-  const FailLog observed = simulate_fail_log(s.sc.netlist, atpg.sequence, s.fl[3]);
-  std::size_t candidates = 0;
-  for (auto _ : state) {
-    candidates = diagnose(s.sc.netlist, atpg.sequence, s.fl.faults(), observed).size();
-    benchmark::DoNotOptimize(candidates);
-  }
-  state.counters["candidates"] = static_cast<double>(candidates);
-}
-BENCHMARK(BM_DiagnoseFullUniverse)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -15,16 +15,18 @@ using namespace uniscan;
 
 namespace {
 
+/// One circuit's outcome: the summary row plus its two JSON entries.
 struct CircuitRows {
-  std::string name;
-  std::size_t generated, restored, omitted;
-  std::size_t detected, total_faults;
-  bool timed_out = false;
+  std::size_t generated = 0;
+  bool generation_timed_out = false;
+  CompactionResult rest, omit;
+  std::vector<obs::StageStat> rest_stages, omit_stages;
+  std::size_t detected = 0, total_faults = 0;  // by the compacted sequence
+  std::string s27_table;  // the Table-4 sequence printout (s27 only)
 };
 
 CircuitRows run_circuit(const SuiteEntry& entry, const bench::Args& args,
-                        const PipelineConfig& cfg, bench::BenchJson& json,
-                        std::string* s27_table) {
+                        const PipelineConfig& cfg) {
   const ScanCircuit sc = run_stage(entry.name, "scan", [&] {
     return insert_scan(run_stage(entry.name, "load",
                                  [&] { return load_circuit(entry, args.bench_dir); }));
@@ -40,34 +42,30 @@ CircuitRows run_circuit(const SuiteEntry& entry, const bench::Args& args,
   opt.cancel = cancel;
   const AtpgResult gen = run_stage(entry.name, "atpg", [&] { return generate_tests(sc, fl, opt); });
 
+  CircuitRows r;
+  r.generated = gen.sequence.length();
+  r.generation_timed_out = gen.timed_out;
   RestorationOptions rest_opt = cfg.restoration;
   rest_opt.cancel = cancel;
-  std::vector<obs::StageStat> rest_stages;
-  const CompactionResult rest = bench::timed_stage(rest_stages, entry.name, "restoration", [&] {
+  r.rest = bench::timed_stage(r.rest_stages, entry.name, "restoration", [&] {
     return restoration_compact(sc.netlist, gen.sequence, fl.faults(), rest_opt);
   });
-  json.add("restoration_" + entry.name, rest_stages.back().wall_ms, rest.gate_evals,
-           gen.sequence.length(), rest.sequence.length(), rest.timed_out, &rest_stages);
 
   OmissionOptions om_opt = cfg.omission;
   om_opt.cancel = cancel;
-  std::vector<obs::StageStat> omit_stages;
-  const CompactionResult omit = bench::timed_stage(omit_stages, entry.name, "omission", [&] {
-    return omission_compact(sc.netlist, rest.sequence, fl.faults(), om_opt);
+  r.omit = bench::timed_stage(r.omit_stages, entry.name, "omission", [&] {
+    return omission_compact(sc.netlist, r.rest.sequence, fl.faults(), om_opt);
   });
-  json.add("omission_" + entry.name, omit_stages.back().wall_ms, omit.gate_evals,
-           rest.sequence.length(), omit.sequence.length(), omit.timed_out, &omit_stages);
 
-  if (s27_table) {
-    *s27_table = "=== Table 4: compacted test sequence for s27_scan ===\n\n" +
-                 format_sequence_table(sc, omit.sequence) + "\n";
+  if (entry.name == "s27") {
+    r.s27_table = "=== Table 4: compacted test sequence for s27_scan ===\n\n" +
+                  format_sequence_table(sc, r.omit.sequence) + "\n";
   }
 
   FaultSimulator sim(sc.netlist);
-  return CircuitRows{entry.name, gen.sequence.length(), rest.sequence.length(),
-                     omit.sequence.length(),
-                     sim.detected_indices(omit.sequence, fl.faults()).size(), fl.size(),
-                     gen.timed_out || rest.timed_out || omit.timed_out};
+  r.detected = sim.detected_indices(r.omit.sequence, fl.faults()).size();
+  r.total_faults = fl.size();
+  return r;
 }
 
 }  // namespace
@@ -87,41 +85,35 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
-  std::vector<TaskFailure> failures;
   std::string s27_table;
-  // Rows stream: each circuit's summary line prints the moment its
-  // (serial) compaction flow finishes; the s27 sequence printout follows
+  // Circuits run as parallel tasks; rows and JSON entries stream in suite
+  // order as the completed prefix grows. The s27 sequence printout follows
   // the summary so the streamed table is never interrupted.
   StreamTable summary(std::cout,
                       {"circuit", "generated", "restored", "omitted", "detected", "status"});
-  for (const SuiteEntry& entry : suite) {
-    CircuitRows r;
-    try {
-      r = run_circuit(entry, args, cfg, json, entry.name == "s27" ? &s27_table : nullptr);
-    } catch (const StageError& e) {
-      if (cfg.fail_fast) throw;
-      failures.push_back(TaskFailure{entry.name, e.stage(), e.what()});
-      summary.add_row({entry.name, "-", "-", "-", "-", bench::row_status(failures.back())});
-      json.add_failure(failures.back());
-      continue;
-    } catch (const std::exception& e) {
-      if (cfg.fail_fast) throw;
-      failures.push_back(TaskFailure{entry.name, "unknown", e.what()});
-      summary.add_row({entry.name, "-", "-", "-", "-", bench::row_status(failures.back())});
-      json.add_failure(failures.back());
-      continue;
-    }
-    summary.add_row({r.name, std::to_string(r.generated), std::to_string(r.restored),
-                     std::to_string(r.omitted),
-                     std::to_string(r.detected) + "/" + std::to_string(r.total_faults),
-                     bench::row_status(r.timed_out)});
-  }
+  const auto rows = run_suite_tasks(
+      suite, [&](std::size_t i) { return run_circuit(suite[i], args, cfg); },
+      [&](std::size_t i, const TaskOutcome<CircuitRows>& outcome) {
+        const std::string& name = suite[i].name;
+        if (outcome.failed()) {
+          summary.add_row({name, "-", "-", "-", "-", bench::row_status(*outcome.failure)});
+          json.add_failure(*outcome.failure);
+          return;
+        }
+        const CircuitRows& r = outcome.value;
+        const std::size_t restored = r.rest.sequence.length();
+        const std::size_t omitted = r.omit.sequence.length();
+        json.add("restoration_" + name, r.rest_stages.back().wall_ms, r.rest.gate_evals,
+                 r.generated, restored, r.rest.timed_out, &r.rest_stages);
+        json.add("omission_" + name, r.omit_stages.back().wall_ms, r.omit.gate_evals, restored,
+                 omitted, r.omit.timed_out, &r.omit_stages);
+        summary.add_row(
+            {name, std::to_string(r.generated), std::to_string(restored), std::to_string(omitted),
+             std::to_string(r.detected) + "/" + std::to_string(r.total_faults),
+             bench::row_status(r.generation_timed_out || r.rest.timed_out || r.omit.timed_out)});
+        if (!r.s27_table.empty()) s27_table = r.s27_table;
+      },
+      cfg.fail_fast);
   if (!s27_table.empty()) std::cout << "\n" << s27_table;
-
-  json.write(args.json, args.threads);
-  if (!failures.empty()) {
-    bench::print_failures(failures);
-    return bench::kExitHadFailures;
-  }
-  return 0;
+  return bench::finish_suite(json, args, rows);
 }

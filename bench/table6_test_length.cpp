@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         table.add_row({suite[i].name, std::to_string(r.raw.total), std::to_string(r.raw.scan),
                        std::to_string(r.restored.total), std::to_string(r.restored.scan),
                        std::to_string(r.omitted.total), std::to_string(r.omitted.scan),
-                       r.extra_detected ? "+" + std::to_string(r.extra_detected) : "",
+                       r.extra_detected ? numbered("+", r.extra_detected) : "",
                        std::to_string(r.baseline.application_cycles()),
                        bench::row_status(r.timed_out())});
         json.add(suite[i].name, outcome.value.wall_ms,

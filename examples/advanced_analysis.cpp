@@ -2,7 +2,6 @@
 //   * redundancy identification — proving which undetected faults have NO
 //     conventional scan test at all (the completeness the paper notes its
 //     generator lacks),
-//   * n-detect generation — every fault observed at n distinct time points,
 //   * tester-program export — the per-cycle stimulus/expected-response
 //     artifact a test engineer would consume.
 //
@@ -37,15 +36,6 @@ int main() {
       static_cast<double>(faults.size() - triage.redundant);
   std::cout << "fault efficiency over the testable universe: " << format_pct(efficiency)
             << "%\n\n";
-
-  // --- n-detect generation -------------------------------------------------
-  NDetectOptions nopt;
-  nopt.n = 3;
-  const NDetectResult nd = generate_n_detect_tests(sc, faults, nopt);
-  std::cout << "n-detect (n=3): " << nd.satisfied << "/" << nd.num_faults
-            << " faults observed 3+ times, " << nd.detected << " at least once, "
-            << nd.sequence.length() << " cycles (single-detect compacted flows are ~"
-            << atpg.sequence.length() << " cycles before compaction)\n\n";
 
   // --- tester program -------------------------------------------------------
   const CompactionResult rest = restoration_compact(sc.netlist, atpg.sequence, faults.faults());

@@ -7,10 +7,8 @@
 //   1  runtime error (bad input file, malformed circuit, ...)
 //   2  usage error (unknown flag/command)
 //   3  internal error (unexpected exception escaping main)
-//   4  suite ran but some rows failed (isolated per-circuit failures)
-//   5  service overload: at least one job was shed by admission control
-//      (explicit reject under backpressure — distinct from 4 because no
-//      admitted work failed; the caller should retry later, not debug)
+//   4  suite ran but some rows failed (isolated per-circuit failures; only
+//      the table binaries run suites)
 #pragma once
 
 namespace uniscan {
@@ -20,6 +18,5 @@ inline constexpr int kExitError = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitInternal = 3;
 inline constexpr int kExitHadFailures = 4;
-inline constexpr int kExitOverload = 5;
 
 }  // namespace uniscan

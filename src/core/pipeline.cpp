@@ -57,12 +57,31 @@ auto timed_stage(std::vector<obs::StageStat>& stages, const std::string& circuit
   }
 }
 
-/// Shared Tables-5/6 flow body from the atpg stage onward: both overloads of
-/// run_generate_and_compact funnel here, so a run from cached artifacts is
-/// the same code path — and therefore bit-identical — to a cold run.
-void generate_and_compact_tail(GenerateCompactReport& report, const ScanCircuit& sc,
-                               const FaultList& faults, const PipelineConfig& config,
-                               const CancelToken& cancel) {
+}  // namespace
+
+PipelineConfig anchor_suite_budget(const PipelineConfig& config) {
+  PipelineConfig cfg = config;
+  if (cfg.time_budget_secs > 0) {
+    cfg.cancel = cfg.cancel.child(Deadline::after(cfg.time_budget_secs));
+    cfg.time_budget_secs = 0;
+  }
+  return cfg;
+}
+
+GenerateCompactReport run_generate_and_compact(const Netlist& c, const PipelineConfig& config) {
+  GenerateCompactReport report;
+  report.circuit = c.name();
+  const obs::TraceSpan span("circuit", report.circuit);
+  const CancelToken cancel = derive_circuit_token(config);
+
+  const ScanCircuit sc =
+      timed_stage(report.stages, report.circuit, "scan", [&] { return insert_scan(c); });
+  report.num_inputs = sc.netlist.num_inputs();
+  report.num_dffs = sc.netlist.num_dffs();
+
+  const FaultList faults = timed_stage(report.stages, report.circuit, "faults",
+                                       [&] { return FaultList::collapsed(sc.netlist); });
+
   AtpgOptions atpg_opt = config.atpg;
   atpg_opt.cancel = cancel;
   report.atpg = timed_stage(report.stages, report.circuit, "atpg",
@@ -98,12 +117,20 @@ void generate_and_compact_tail(GenerateCompactReport& report, const ScanCircuit&
                                   [&] { return generate_baseline_tests(sc, faults, base_opt); });
     report.baseline_run = true;
   }
+  return report;
 }
 
-/// Shared Table-7 flow body from the baseline stage onward.
-void translate_and_compact_tail(TranslateCompactReport& report, const ScanCircuit& sc,
-                                const FaultList& faults, const PipelineConfig& config,
-                                const CancelToken& cancel) {
+TranslateCompactReport run_translate_and_compact(const Netlist& c, const PipelineConfig& config) {
+  TranslateCompactReport report;
+  report.circuit = c.name();
+  const obs::TraceSpan span("circuit", report.circuit);
+  const CancelToken cancel = derive_circuit_token(config);
+
+  const ScanCircuit sc =
+      timed_stage(report.stages, report.circuit, "scan", [&] { return insert_scan(c); });
+  const FaultList faults = timed_stage(report.stages, report.circuit, "faults",
+                                       [&] { return FaultList::collapsed(sc.netlist); });
+
   BaselineOptions base_opt = config.baseline;
   base_opt.cancel = cancel;
   report.baseline = timed_stage(report.stages, report.circuit, "baseline",
@@ -127,84 +154,6 @@ void translate_and_compact_tail(TranslateCompactReport& report, const ScanCircui
     return omission_compact(sc.netlist, report.restoration.sequence, faults.faults(), om_opt);
   });
   report.omitted = sequence_stats(sc, report.omission.sequence);
-}
-
-}  // namespace
-
-PipelineConfig anchor_suite_budget(const PipelineConfig& config) {
-  PipelineConfig cfg = config;
-  if (cfg.time_budget_secs > 0) {
-    cfg.cancel = cfg.cancel.child(Deadline::after(cfg.time_budget_secs));
-    cfg.time_budget_secs = 0;
-  }
-  return cfg;
-}
-
-GenerateCompactReport run_generate_and_compact(const Netlist& c, const PipelineConfig& config) {
-  GenerateCompactReport report;
-  report.circuit = c.name();
-  const obs::TraceSpan span("circuit", report.circuit);
-  const CancelToken cancel = derive_circuit_token(config);
-
-  const ScanCircuit sc =
-      timed_stage(report.stages, report.circuit, "scan", [&] { return insert_scan(c); });
-  report.num_inputs = sc.netlist.num_inputs();
-  report.num_dffs = sc.netlist.num_dffs();
-
-  const FaultList faults = timed_stage(report.stages, report.circuit, "faults",
-                                       [&] { return FaultList::collapsed(sc.netlist); });
-
-  generate_and_compact_tail(report, sc, faults, config, cancel);
-  return report;
-}
-
-CircuitArtifacts build_circuit_artifacts(const Netlist& c, std::size_t num_chains) {
-  CircuitArtifacts a;
-  a.circuit = c.name();
-  auto sc = std::make_shared<ScanCircuit>(insert_scan(c, num_chains));
-  auto faults = std::make_shared<FaultList>(FaultList::collapsed(sc->netlist));
-  sc->netlist.compiled_shared();  // warm the shared compile once, up front
-  a.scan = std::move(sc);
-  a.faults = std::move(faults);
-  return a;
-}
-
-GenerateCompactReport run_generate_and_compact(const CircuitArtifacts& a,
-                                               const PipelineConfig& config) {
-  GenerateCompactReport report;
-  report.circuit = a.circuit;
-  const obs::TraceSpan span("circuit", report.circuit);
-  const CancelToken cancel = derive_circuit_token(config);
-
-  report.num_inputs = a.scan->netlist.num_inputs();
-  report.num_dffs = a.scan->netlist.num_dffs();
-  generate_and_compact_tail(report, *a.scan, *a.faults, config, cancel);
-  return report;
-}
-
-TranslateCompactReport run_translate_and_compact(const Netlist& c, const PipelineConfig& config) {
-  TranslateCompactReport report;
-  report.circuit = c.name();
-  const obs::TraceSpan span("circuit", report.circuit);
-  const CancelToken cancel = derive_circuit_token(config);
-
-  const ScanCircuit sc =
-      timed_stage(report.stages, report.circuit, "scan", [&] { return insert_scan(c); });
-  const FaultList faults = timed_stage(report.stages, report.circuit, "faults",
-                                       [&] { return FaultList::collapsed(sc.netlist); });
-
-  translate_and_compact_tail(report, sc, faults, config, cancel);
-  return report;
-}
-
-TranslateCompactReport run_translate_and_compact(const CircuitArtifacts& a,
-                                                 const PipelineConfig& config) {
-  TranslateCompactReport report;
-  report.circuit = a.circuit;
-  const obs::TraceSpan span("circuit", report.circuit);
-  const CancelToken cancel = derive_circuit_token(config);
-
-  translate_and_compact_tail(report, *a.scan, *a.faults, config, cancel);
   return report;
 }
 

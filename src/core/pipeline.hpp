@@ -6,7 +6,6 @@
 //    translation, then the same two compactions (Table 7).
 #pragma once
 
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -136,29 +135,6 @@ struct GenerateCompactReport {
 
 GenerateCompactReport run_generate_and_compact(const Netlist& c, const PipelineConfig& config = {});
 
-/// Prebuilt per-circuit artifacts: the scan-inserted netlist and its
-/// collapsed fault list. Both are pure functions of the source netlist
-/// content (insert_scan and FaultList::collapsed are deterministic), so a
-/// flow run from cached artifacts is bit-identical to one that rebuilds them
-/// — the contract the serve-layer ArtifactCache (DESIGN.md §5k) relies on.
-/// shared_ptr because many concurrent jobs may run over one cache entry.
-struct CircuitArtifacts {
-  std::string circuit;  // netlist name, used for stage tagging / injection
-  std::shared_ptr<const ScanCircuit> scan;
-  std::shared_ptr<const FaultList> faults;
-};
-
-/// Build artifacts directly from a source netlist (the cache-miss path; also
-/// warms Netlist::compiled_shared() so later simulators skip the compile).
-CircuitArtifacts build_circuit_artifacts(const Netlist& c, std::size_t num_chains = 1);
-
-/// Flow overloads over prebuilt artifacts: identical to the Netlist
-/// overloads except the "scan" and "faults" stages are skipped entirely —
-/// their absence from `report.stages` is how warm-cache runs prove they did
-/// no setup work. Results are bit-identical to the Netlist overloads.
-GenerateCompactReport run_generate_and_compact(const CircuitArtifacts& a,
-                                               const PipelineConfig& config = {});
-
 /// One row of Table 7.
 struct TranslateCompactReport {
   std::string circuit;
@@ -177,8 +153,6 @@ struct TranslateCompactReport {
 };
 
 TranslateCompactReport run_translate_and_compact(const Netlist& c, const PipelineConfig& config = {});
-TranslateCompactReport run_translate_and_compact(const CircuitArtifacts& a,
-                                                 const PipelineConfig& config = {});
 
 /// Result slot of one suite task: the value when the task finished, or the
 /// failure record when it threw. Exactly one of the two is meaningful;

@@ -44,18 +44,6 @@ class FaultList {
   /// it). uncollapsed_count() is preserved for reporting.
   FaultList prefix(std::size_t n) const;
 
-  /// Reassemble a list from previously computed faults (the serve-layer disk
-  /// cache deserializes collapsed lists with this). The caller vouches that
-  /// `faults` came from collapsed()/uncollapsed() on the same netlist
-  /// content; the cache cross-checks counts and a payload hash before
-  /// trusting an entry.
-  static FaultList from_faults(std::vector<Fault> faults, std::size_t uncollapsed_count) {
-    FaultList fl;
-    fl.faults_ = std::move(faults);
-    fl.uncollapsed_count_ = uncollapsed_count;
-    return fl;
-  }
-
  private:
   std::vector<Fault> faults_;
   std::size_t uncollapsed_count_ = 0;

@@ -100,7 +100,7 @@ class Netlist {
 
   /// The one-time CSR compile of this netlist, built lazily on first call
   /// and shared by every simulator constructed over the same Netlist object
-  /// (see DESIGN.md §5k). Requires finalize(); the netlist is structurally
+  /// (see DESIGN.md §5e). Requires finalize(); the netlist is structurally
   /// immutable afterwards, so the compile can never go stale. Thread-safe.
   /// Implemented in sim/compiled_netlist.cpp to keep the netlist layer free
   /// of a sim-layer dependency at compile time.

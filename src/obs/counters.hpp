@@ -48,12 +48,6 @@ enum class Counter : std::uint8_t {
   FaultsCollapsed,      // faults removed by equivalence collapsing
   LiveFaultsPeak,       // MAX semantics (count_max): largest concurrently
                         // live fault population seen by any session
-  CacheHits,            // serve ArtifactCache lookups served from RAM/disk
-  CacheMisses,          // serve ArtifactCache lookups rebuilt from source
-  CacheQuarantined,     // corrupt/truncated/version-mismatched disk entries
-                        // quarantined and rebuilt (never trusted, never fatal)
-  JobsShed,             // jobs rejected by admission control (queue full)
-  JobRetries,           // job attempts re-queued after a transient failure
   SatConflicts,         // CDCL conflicts across all SAT engine solves
   SatDecisions,         // CDCL decisions across all SAT engine solves
   SatPropagations,      // CDCL literal propagations across all SAT solves
@@ -70,7 +64,7 @@ enum class Counter : std::uint8_t {
   OmissionConverged,    // omission trial batch advances stopped by a state
                         // match with the accepted run
 };
-inline constexpr std::size_t kNumCounters = 27;
+inline constexpr std::size_t kNumCounters = 22;
 
 /// Counters with max semantics: count_max() raises the shard value, totals()
 /// max-reduces across shards instead of summing, and CounterScope reports a

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/string_utils.hpp"
+
 namespace uniscan {
 
 std::size_t ScanCircuit::max_chain_length() const {
@@ -49,7 +51,7 @@ ScanCircuit insert_scan(const Netlist& c, std::size_t num_chains) {
   for (std::size_t ci = 0; ci < num_chains; ++ci) {
     ScanChain chain;
     const std::size_t len = base_len + (ci < extra ? 1 : 0);
-    const std::string suffix = num_chains == 1 ? std::string{} : "_" + std::to_string(ci);
+    const std::string suffix = num_chains == 1 ? std::string{} : numbered("_", ci);
 
     const GateId scan_inp = out.add_input("scan_inp" + suffix);
     chain.scan_inp_index = out.num_inputs() - 1;

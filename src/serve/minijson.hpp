@@ -1,10 +1,9 @@
-// Minimal JSON for the serve protocol (line-delimited job objects).
-//
-// The repo's bench JSON is write-only; the serve loop also has to *read*
-// jobs, so this adds a small parser for one JSON object per line. Values are
-// scalars (string/number/bool/null); nested arrays/objects are preserved as
-// raw JSON text (the protocol keeps job fields flat, but a forgiving parser
-// never dies on extras). No external dependencies, by repo policy.
+// Minimal JSON: a parser for one flat JSON object per line and a small
+// writer. Its one user is perfbench (perfbench/uniscan_perfbench.cpp), which
+// reads trace events and writes its result lines with it; the directory name
+// is historical. Values are scalars (string/number/bool/null); nested
+// arrays/objects are preserved as raw JSON text (a forgiving parser never
+// dies on extras). No external dependencies, by repo policy.
 #pragma once
 
 #include <cstdint>

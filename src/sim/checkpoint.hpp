@@ -43,8 +43,7 @@ struct SimBatchStateT {
   Word live{};            // slots (bits 1..kSlots-1) still being watched
   Word detected_slots{};  // slots observed at a PO at least once
   std::vector<W3T<Word>> state;  // one machine-pair word per DFF
-  std::array<std::uint32_t, kSlots> detect_time{};   // first observation frame
-  std::array<std::uint32_t, kSlots> detect_count{};  // observations (n-detect cap)
+  std::array<std::uint32_t, kSlots> detect_time{};  // first observation frame
   std::vector<V3> prev_driven;  // transition model: per-slot launch history
 };
 

@@ -421,9 +421,8 @@ std::uint64_t BatchRunnerT<Word, Model>::run_frames(State& s, const SequenceView
     }
     evals += prog_.evals_per_frame;
 
-    // Detection at the batch's observable primary outputs. A frame
-    // contributes at most one count per fault even if several outputs
-    // expose it; a slot leaves `live` once it reaches count_cap.
+    // Detection at the batch's observable primary outputs: a slot leaves
+    // `live` at its first observation.
     Word raw{};
     for (const GateId po : prog_.obs_po) {
       const W w = values[po];
@@ -436,7 +435,7 @@ std::uint64_t BatchRunnerT<Word, Model>::run_frames(State& s, const SequenceView
         w_set(s.detected_slots, slot);
         s.detect_time[slot] = static_cast<std::uint32_t>(t);
       }
-      if (++s.detect_count[slot] >= opt.count_cap) w_clear(s.live, slot);
+      w_clear(s.live, slot);
     });
 
     if (opt.early_exit && !w_any(s.live)) {
@@ -567,32 +566,6 @@ bool FaultSimulatorT<Model>::detects_all(const SequenceView& view,
     }
     return ok;
   });
-}
-
-template <class Model>
-std::vector<std::uint32_t> FaultSimulatorT<Model>::run_counts(const TestSequence& seq,
-                                                              std::span<const fault_type> faults,
-                                                              std::uint32_t cap) const {
-  return run_counts(SequenceView(seq), faults, cap);
-}
-
-template <class Model>
-std::vector<std::uint32_t> FaultSimulatorT<Model>::run_counts(const SequenceView& view,
-                                                              std::span<const fault_type> faults,
-                                                              std::uint32_t cap) const {
-  std::vector<std::uint32_t> counts(faults.size(), 0);
-  if (cap == 0) return counts;
-  at_slot_width(faults.size(), [&]<class Word>() {
-    constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
-    typename BatchRunnerT<Word>::AdvanceOptions opt;
-    opt.count_cap = cap;
-    run_batches<Word>(view, faults, 0, (faults.size() + kPer - 1) / kPer, opt, nullptr,
-                      [&](std::size_t base, const auto& runner, const auto& s) {
-                        for (std::size_t i = 0; i < runner.faults().size(); ++i)
-                          counts[base + i] = s.detect_count[i + 1];
-                      });
-  });
-  return counts;
 }
 
 template <class Model>

@@ -27,7 +27,7 @@
 //    sampled states: batches never interact and every per-fault result is a
 //    pure function of that fault's slot.
 //  * FaultSimulatorT<Model> — the one-shot API (run / detects_all /
-//    run_counts), fanning its independent batches across
+//    detected_indices), fanning its independent batches across
 //    ThreadPool::global() at the process-wide slot width
 //    (resolved_slot_width_for(), read per call). Results are bit-identical
 //    for every thread count: each batch writes only its own output slots.
@@ -118,7 +118,6 @@ class BatchRunnerT {
 
   struct AdvanceOptions {
     bool early_exit = true;      // stop once no slot is live
-    std::uint32_t count_cap = 1; // observations until a slot leaves `live`
     std::span<LatchRecord> latched = {};  // one record per batch fault
     // Per-frame raw observations: raw_obs[f] receives the slots observed at
     // a primary output in frame f, before the `live` mask is applied.
@@ -211,16 +210,6 @@ class FaultSimulatorT {
   /// Indices (into `faults`) of the faults detected by `seq`.
   std::vector<std::size_t> detected_indices(const TestSequence& seq,
                                             std::span<const fault_type> faults) const;
-
-  /// Per-fault detection count, saturated at `cap`: the number of frames at
-  /// which the fault is observed at some primary output (at most one count
-  /// per frame). Used by the n-detect extension.
-  std::vector<std::uint32_t> run_counts(const TestSequence& seq,
-                                        std::span<const fault_type> faults,
-                                        std::uint32_t cap) const;
-  std::vector<std::uint32_t> run_counts(const SequenceView& view,
-                                        std::span<const fault_type> faults,
-                                        std::uint32_t cap) const;
 
  private:
   /// Advance batches [first, last) of `faults` (kBits-1 faults each) from

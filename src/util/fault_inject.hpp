@@ -1,41 +1,26 @@
 // Deterministic failure injection for robustness tests and CI.
 //
-// UNISCAN_FAULT_INJECT holds one or more ';'-separated specs of the form
+// UNISCAN_FAULT_INJECT holds one spec of the form
 //
-//   <circuit>:<stage>[:<count>]
+//   <circuit>:<stage>
 //
 // A matching call site throws a std::runtime_error the moment it starts;
 // every other circuit and stage runs untouched. <circuit> and <stage> match
-// exactly, or by prefix when they end in "*" ("*" alone matches anything,
-// "tenant2-*" matches one tenant's job family); with a <count>, the spec
-// fires only for the first
-// `count` matching calls and then goes inert — the hook the serve layer's
-// retry tests use to make a job fail transiently N times and then succeed.
+// exactly, or by prefix when they end in "*" ("*" alone matches anything).
 // Unset (the normal case), the hook is a single getenv.
 //
-// The pipeline fires it per (circuit, stage) pair (scan/faults/atpg/...);
-// the serve layer adds its own stages (cache_load, admit, dispatch,
-// job_run), so scheduler failure paths are deterministically testable like
-// the pipeline's.
-//
+// The pipeline fires it per (circuit, stage) pair (load/scan/faults/atpg/...).
 // This exists so the suite-isolation tests and the CI robustness job can
 // prove that one poisoned circuit never takes down a suite run — the
 // exception travels the exact path a real parse error or ATPG blowup would.
 #pragma once
 
 #include <string>
-#include <string_view>
 
 namespace uniscan {
 
-/// Throws std::runtime_error when a UNISCAN_FAULT_INJECT spec matches
-/// `<circuit>:<stage>` (and its count, if any, is not exhausted); returns
-/// quietly otherwise.
+/// Throws std::runtime_error when the UNISCAN_FAULT_INJECT spec matches
+/// `<circuit>:<stage>`; returns quietly otherwise.
 void maybe_inject_fault(const std::string& circuit, const std::string& stage);
-
-/// True when an exception message came from maybe_inject_fault. Injected
-/// faults model *transient* failures, so the serve scheduler classifies them
-/// as retryable by this predicate (a StageError wrapper preserves the text).
-bool is_injected_fault_message(std::string_view what) noexcept;
 
 }  // namespace uniscan

@@ -38,6 +38,12 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string excerpt(std::string_view s, std::size_t max_len) {
   if (s.size() <= max_len) return std::string(s);
   return std::string(s.substr(0, max_len)) + "...";

@@ -24,6 +24,11 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 /// Uppercase ASCII copy.
 std::string to_upper(std::string_view s);
 
+/// `prefix` followed by the decimal `n` ("I", 3 -> "I3"). Appends rather
+/// than writing `"I" + std::to_string(n)`, whose inlined insert GCC 12
+/// misreports under -Wrestrict.
+std::string numbered(std::string_view prefix, std::uint64_t n);
+
 /// Copy of `s` capped at `max_len` characters for error messages: longer
 /// input is cut and suffixed with "..." so a corrupt multi-megabyte line
 /// cannot explode a diagnostic.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/string_utils.hpp"
 
 namespace uniscan {
 
@@ -175,16 +176,16 @@ Netlist generate_synthetic(const SynthSpec& spec) {
   Netlist nl(spec.name);
   std::vector<GateId> ids;  // draft signal id -> netlist gate id
   for (std::size_t i = 0; i < spec.num_inputs; ++i)
-    ids.push_back(nl.add_input("I" + std::to_string(i)));
+    ids.push_back(nl.add_input(numbered("I", i)));
   std::vector<GateId> ffs;
   for (std::size_t i = 0; i < spec.num_dffs; ++i) {
-    ffs.push_back(nl.add_dff("F" + std::to_string(i)));
+    ffs.push_back(nl.add_dff(numbered("F", i)));
     ids.push_back(ffs.back());
   }
   for (std::size_t g = 0; g < d.types.size(); ++g) {
     std::vector<GateId> fanins;
     for (std::size_t f : d.fanins[g]) fanins.push_back(ids[f]);
-    ids.push_back(nl.add_gate(d.types[g], "g" + std::to_string(g), std::move(fanins)));
+    ids.push_back(nl.add_gate(d.types[g], numbered("g", g), std::move(fanins)));
   }
 
   // FF D inputs: each FF reads a gate from the last half of the list so

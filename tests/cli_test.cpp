@@ -7,10 +7,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "netlist/bench_io.hpp"
+#include "workloads/suite.hpp"
 
 #ifndef UNISCAN_CLI_PATH
 #define UNISCAN_CLI_PATH ""
@@ -111,6 +115,23 @@ TEST_F(CliFlow, GenerateCompactFaultsimPipeline) {
   RunResult r = run_cli("generate " + bench_ + " -o " + seq);
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("coverage"), std::string::npos);
+
+  // --threads sizes the pool for every command; the generated sequence
+  // never depends on it.
+  const auto generated = [&](const char* threads) {
+    const std::string path = scratch_path(std::string("threads") + threads + ".useq");
+    const RunResult g =
+        run_cli("generate " + bench_ + " --threads=" + threads + " -o " + path);
+    EXPECT_EQ(g.exit_code, 0) << g.output;
+    std::ifstream f(path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  const std::string one_thread = generated("1");
+  EXPECT_FALSE(one_thread.empty());
+  EXPECT_EQ(one_thread, generated("4"));
 
   r = run_cli("compact " + bench_ + " " + seq + " -o " + cseq);
   ASSERT_EQ(r.exit_code, 0) << r.output;
@@ -238,65 +259,103 @@ TEST_F(CliFlow, GenerateUnderExpiredBudgetDegradesGracefully) {
 }
 
 // Exit-code taxonomy (core/exit_codes.hpp), shared with the table binaries:
-// 0 success, 1 runtime error, 2 usage, 4 isolated job failures (serve),
-// 5 overload/shed (serve). Scripts branch on WHAT went wrong.
+// 0 success, 1 runtime error, 2 usage (unknown flag or command), 4 isolated
+// suite failures (table binaries only).
+// Scripts branch on WHAT went wrong.
 TEST_F(CliFlow, ExitCodeTaxonomy) {
   EXPECT_EQ(run_cli("stats " + bench_).exit_code, 0);
   EXPECT_EQ(run_cli("stats /nonexistent.bench").exit_code, 1);
   EXPECT_EQ(run_cli("").exit_code, 2);
   EXPECT_EQ(run_cli("stats " + bench_ + " --no-such-flag").exit_code, 2);
   EXPECT_EQ(run_cli("no-such-command").exit_code, 2);
+  EXPECT_EQ(run_cli("serve").exit_code, 2);
+  EXPECT_EQ(run_cli("--serve").exit_code, 2);
 }
 
-/// Pipe `lines` into `uniscan_cli serve` on stdin and capture the response.
-RunResult run_serve_mode(const std::string& flags, const std::string& lines) {
-  const std::string in_path = scratch_path("serve_in.jsonl");
-  {
-    std::ofstream f(in_path);
-    f << lines;
+// `--threads=N` sizes the pool for every command, and a thread count changes
+// scheduling only: each command's messages and output file are byte-identical
+// at --threads=1 and --threads=4. The circuit is s208's synthetic stand-in,
+// whose collapsed faults fill several simulation batches, so the pool has
+// work to split.
+struct ThreadedCommand {
+  const char* name;
+  const char* args;  // `{bench}`, `{seq}` and `{tests}` name prepared inputs
+  bool writes_file;  // the command takes `-o <file>`
+};
+
+// Names the case in test listings (ctest shows the printed parameter).
+void PrintTo(const ThreadedCommand& c, std::ostream* os) { *os << c.name; }
+
+std::string expand(std::string text, const std::string& key, const std::string& value) {
+  for (std::size_t at = text.find(key); at != std::string::npos; at = text.find(key, at))
+    text.replace(at, key.size(), value);
+  return text;
+}
+
+class CliThreads : public ::testing::TestWithParam<ThreadedCommand> {
+ protected:
+  void SetUp() override {
+    if (std::string(UNISCAN_CLI_PATH).empty()) GTEST_SKIP() << "CLI path not configured";
+    bench_ = scratch_path("s208.bench");
+    seq_ = scratch_path("s208.useq");
+    tests_ = scratch_path("s208.utst");
+    std::ofstream(bench_) << uniscan::write_bench_string(
+        uniscan::load_circuit(*uniscan::find_suite_entry("s208")));
+    const std::string args = GetParam().args;
+    if (args.find("{seq}") != std::string::npos) {
+      const RunResult g = run_cli("generate " + bench_ + " -o " + seq_);
+      ASSERT_EQ(g.exit_code, 0) << g.output;
+    }
+    if (args.find("{tests}") != std::string::npos) {
+      const RunResult b = run_cli("baseline " + bench_ + " -o " + tests_);
+      ASSERT_EQ(b.exit_code, 0) << b.output;
+    }
   }
-  RunResult r = run_cli("serve " + flags + " < " + in_path);
-  std::remove(in_path.c_str());
-  return r;
+  void TearDown() override {
+    for (const std::string& path : {bench_, seq_, tests_}) std::remove(path.c_str());
+  }
+
+  /// Messages of one run, followed by the file it wrote (if any).
+  std::string run_at(const std::string& threads) {
+    const ThreadedCommand& c = GetParam();
+    const std::string out = scratch_path("threads" + threads + ".out");
+    std::string args = expand(expand(expand(c.args, "{bench}", bench_), "{seq}", seq_),
+                              "{tests}", tests_);
+    args += " --threads=" + threads;
+    if (c.writes_file) args += " -o " + out;
+    const RunResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 0) << args << ": " << r.output;
+    std::ifstream f(out);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    std::remove(out.c_str());
+    if (c.writes_file) {
+      EXPECT_FALSE(ss.str().empty()) << args;
+    }
+    return r.output + "--- file ---\n" + ss.str();
+  }
+
+  std::string bench_, seq_, tests_;
+};
+
+TEST_P(CliThreads, OutputIndependentOfThreadCount) {
+  const std::string one = run_at("1");
+  EXPECT_EQ(one, run_at("4"));
 }
 
-TEST_F(CliFlow, ServeModeAnswersJobsAndExitsZero) {
-  const RunResult r = run_serve_mode(
-      "--threads=2",
-      R"({"op":"ping","id":"p"})"
-      "\n"
-      R"({"op":"generate","id":"g","bench":"INPUT(a)\nOUTPUT(o)\nf0 = DFF(a)\no = AND(a, f0)\n"})"
-      "\n"
-      R"({"op":"shutdown"})"
-      "\n");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("\"op\":\"ping\""), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"done\""), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("\"cache\":\"built\""), std::string::npos) << r.output;
-}
-
-TEST_F(CliFlow, ServeModeFailedJobExitsFour) {
-  const RunResult r = run_serve_mode(
-      "", R"({"op":"generate","id":"bad","bench":"THIS IS NOT A BENCH FILE"})"
-          "\n"
-          R"({"op":"shutdown"})"
-          "\n");
-  EXPECT_EQ(r.exit_code, 4) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"failed\""), std::string::npos) << r.output;
-}
-
-TEST_F(CliFlow, ServeModeOverloadExitsFive) {
-  // One-deep queue, dispatch paused: the second and third jobs are shed with
-  // an explicit reject; nothing failed, so the exit code reports overload.
-  std::string lines = R"({"op":"pause"})" "\n";
-  for (int i = 0; i < 3; ++i)
-    lines += R"({"op":"generate","id":"burst)" + std::to_string(i) +
-             R"(","bench":"INPUT(a)\nOUTPUT(o)\nf0 = DFF(a)\no = AND(a, f0)\n"})" "\n";
-  lines += R"({"op":"resume"})" "\n" R"({"op":"shutdown"})" "\n";
-  const RunResult r = run_serve_mode("--max-queue=1", lines);
-  EXPECT_EQ(r.exit_code, 5) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"shed\""), std::string::npos) << r.output;
-}
+INSTANTIATE_TEST_SUITE_P(
+    Commands, CliThreads,
+    ::testing::Values(ThreadedCommand{"Stats", "stats {bench}", false},
+                      ThreadedCommand{"InsertScan", "insert-scan {bench}", false},
+                      ThreadedCommand{"Generate", "generate {bench}", true},
+                      ThreadedCommand{"Compact", "compact {bench} {seq}", true},
+                      ThreadedCommand{"Faultsim", "faultsim {bench} {seq}", false},
+                      ThreadedCommand{"Baseline", "baseline {bench}", true},
+                      ThreadedCommand{"Translate", "translate {bench} {tests}", true},
+                      ThreadedCommand{"Classify", "classify {bench}", false},
+                      ThreadedCommand{"Export", "export {bench} {seq}", false},
+                      ThreadedCommand{"Metrics", "metrics {bench} {seq}", false}),
+    [](const ::testing::TestParamInfo<ThreadedCommand>& info) { return info.param.name; });
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 
 #include "core/uniscan.hpp"
 #include "reference_sim.hpp"
+#include "util/string_utils.hpp"
 
 namespace uniscan {
 namespace {
@@ -10,7 +11,7 @@ namespace {
 TEST(Integration, WideGateRejectedAtFinalize) {
   Netlist nl("wide");
   std::vector<GateId> ins;
-  for (int i = 0; i < 65; ++i) ins.push_back(nl.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 65; ++i) ins.push_back(nl.add_input(numbered("i", i)));
   nl.add_output(nl.add_gate(GateType::And, "g", std::move(ins)));
   EXPECT_THROW(nl.finalize(), std::runtime_error);
 }
@@ -65,21 +66,19 @@ TEST(Integration, InsertScanBenchRoundTripStaysFunctional) {
   EXPECT_EQ(s, (State{V3::One, V3::Zero, V3::One}));
 }
 
-TEST(Integration, VerilogCircuitThroughFullPipeline) {
+TEST(Integration, BenchTextCircuitThroughFullPipeline) {
   const auto text = R"(
-module demo (a, b, y);
-  input a, b;
-  output y;
-  wire y, q0, q1, n0, n1, t;
-  dff r0 (q0, n0);
-  dff r1 (q1, n1);
-  xor g0 (n0, a, q1);
-  nand g1 (t, b, q0);
-  not g2 (n1, t);
-  or  g3 (y, q0, t);
-endmodule
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+q0 = DFF(n0)
+q1 = DFF(n1)
+n0 = XOR(a, q1)
+t = NAND(b, q0)
+n1 = NOT(t)
+y = OR(q0, t)
 )";
-  const Netlist c = read_verilog_string(text);
+  const Netlist c = read_bench_string(text, "demo");
   const GenerateCompactReport r = run_generate_and_compact(c);
   EXPECT_GE(r.atpg.fault_coverage(), 85.0);
   EXPECT_LE(r.omitted.total, r.raw.total);

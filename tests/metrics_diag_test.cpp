@@ -1,5 +1,4 @@
 #include "core/metrics.hpp"
-#include "diag/diagnosis.hpp"
 
 #include <gtest/gtest.h>
 
@@ -74,60 +73,6 @@ TEST(Metrics, FormatIsHumanReadable) {
 
 // ---------------------------------------------------------------------------
 
-struct DiagFixture {
-  ScanCircuit sc = insert_scan(make_s27());
-  FaultList fl = FaultList::collapsed(sc.netlist);
-  AtpgResult atpg = generate_tests(sc, fl, {});
-};
-
-TEST(Diagnosis, InjectedFaultIsAlwaysACandidate) {
-  DiagFixture fx;
-  for (std::size_t i = 0; i < fx.fl.size(); i += 5) {
-    const FailLog observed = simulate_fail_log(fx.sc.netlist, fx.atpg.sequence, fx.fl[i]);
-    const auto candidates = diagnose(fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), observed);
-    EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), i) != candidates.end())
-        << "fault " << i << " not among its own candidates";
-  }
-}
-
-TEST(Diagnosis, ResolutionIsUsuallySharp) {
-  // On a high-observability sequence most faults diagnose to few candidates.
-  DiagFixture fx;
-  std::size_t total_candidates = 0, cases = 0;
-  for (std::size_t i = 0; i < fx.fl.size(); i += 3) {
-    const FailLog observed = simulate_fail_log(fx.sc.netlist, fx.atpg.sequence, fx.fl[i]);
-    if (observed.empty()) continue;  // undetected faults have no log
-    total_candidates +=
-        diagnose(fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), observed).size();
-    ++cases;
-  }
-  ASSERT_GT(cases, 0u);
-  EXPECT_LT(static_cast<double>(total_candidates) / static_cast<double>(cases), 3.0)
-      << "average candidate-set size too large";
-}
-
-TEST(Diagnosis, FailLogsMatchDetectionVerdicts) {
-  DiagFixture fx;
-  FaultSimulator sim(fx.sc.netlist);
-  const auto det = sim.run(fx.atpg.sequence, fx.fl.faults());
-  for (std::size_t i = 0; i < fx.fl.size(); i += 7) {
-    const FailLog log = simulate_fail_log(fx.sc.netlist, fx.atpg.sequence, fx.fl[i]);
-    EXPECT_EQ(!log.empty(), det[i].detected) << i;
-    if (det[i].detected) {
-      EXPECT_EQ(log.front().time, det[i].time) << i;
-    }
-  }
-}
-
-TEST(Diagnosis, PassingDeviceMatchesNoDetectedFault) {
-  DiagFixture fx;
-  const auto candidates =
-      diagnose(fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), FailLog{});
-  FaultSimulator sim(fx.sc.netlist);
-  const auto det = sim.run(fx.atpg.sequence, fx.fl.faults());
-  for (std::size_t c : candidates) EXPECT_FALSE(det[c].detected) << c;
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry counter registry unit behaviour (the cross-thread equivalence
 // tier lives in obs_counter_test.cpp; these pin the single-thread API).
@@ -165,11 +110,12 @@ TEST(ObsRegistry, GenerationCountsGateEvalsAndPolls) {
   // End-to-end sanity that the registry is actually wired into the ATPG
   // flow: generating tests must evaluate gates and poll its cancel token.
   obs::reset();
-  DiagFixture fx;
+  const ScanCircuit sc = insert_scan(make_s27());
+  const AtpgResult atpg = generate_tests(sc, FaultList::collapsed(sc.netlist), {});
   EXPECT_GT(obs::total(obs::Counter::GateEvals), 0u);
   EXPECT_GT(obs::total(obs::Counter::CancelPolls), 0u);
   // gate_evals on the result equals the scoped registry delta of the run.
-  EXPECT_GT(fx.atpg.gate_evals, 0u);
+  EXPECT_GT(atpg.gate_evals, 0u);
   obs::reset();
 }
 

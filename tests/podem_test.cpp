@@ -44,7 +44,7 @@ TEST(Podem, EveryPoSuccessConfirmedBySimulation) {
   std::size_t successes = 0;
   for (std::size_t i = 0; i < fl.size(); ++i) {
     FrameModel model(nl, fl[i], 10);
-    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {400});
+    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {400, {}});
     if (!r.success) continue;
     ++successes;
     EXPECT_TRUE(confirm(nl, fl[i], r.subsequence))
@@ -64,7 +64,7 @@ TEST(Podem, PlainSequentialCircuitHasUntestableFaults) {
   std::size_t successes = 0;
   for (std::size_t i = 0; i < fl.size(); ++i) {
     FrameModel model(nl, fl[i], 8);
-    successes += run_podem(model, PodemGoal::ObservePo, {200}).success;
+    successes += run_podem(model, PodemGoal::ObservePo, {200, {}}).success;
   }
   EXPECT_GT(successes, 5u);
   EXPECT_LT(successes, fl.size());
@@ -75,7 +75,7 @@ TEST(Podem, SubsequenceEndsAtObservationFrame) {
   const FaultList fl = FaultList::collapsed(nl);
   for (std::size_t i = 0; i < fl.size(); ++i) {
     FrameModel model(nl, fl[i], 6);
-    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {100});
+    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {100, {}});
     if (!r.success) continue;
     EXPECT_EQ(r.subsequence.length(), r.frames_used);
     EXPECT_LE(r.frames_used, 6u);
@@ -117,7 +117,7 @@ TEST(Podem, ScanObserveAcceptsLatchedOrPo) {
   for (std::size_t i = 0; i < fl.size(); ++i) {
     FrameModel model(nl, fl[i], 3);
     model.set_state_assignable(true);
-    const PodemResult r = run_podem(model, PodemGoal::ScanObserve, {200});
+    const PodemResult r = run_podem(model, PodemGoal::ScanObserve, {200, {}});
     if (r.success) {
       ++successes;
       EXPECT_EQ(r.scan_in.size(), nl.num_dffs());
@@ -133,7 +133,7 @@ TEST(Podem, RespectsBacktrackLimit) {
   const FaultList fl = FaultList::collapsed(nl);
   for (std::size_t i = 0; i < fl.size(); ++i) {
     FrameModel model(nl, fl[i], 4);
-    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {1});
+    const PodemResult r = run_podem(model, PodemGoal::ObservePo, {1, {}});
     EXPECT_LE(r.backtracks, 2) << "limit 1 must stop the search immediately";
   }
 }
@@ -146,7 +146,7 @@ TEST(Podem, PinnedScanSelKeepsFunctionalMode) {
     FrameModel model(nl, fl[i], 2);
     model.set_state_assignable(true);
     model.pin_input(sc.scan_sel_index(), V3::Zero);
-    const PodemResult r = run_podem(model, PodemGoal::ScanObserve, {100});
+    const PodemResult r = run_podem(model, PodemGoal::ScanObserve, {100, {}});
     if (!r.success) continue;
     for (std::size_t t = 0; t < r.subsequence.length(); ++t)
       EXPECT_EQ(r.subsequence.at(t, sc.scan_sel_index()), V3::Zero);
@@ -161,7 +161,7 @@ TEST(Podem, UsesScanShiftingWhenWindowAllows) {
   const GateId scan_inp = nl.inputs()[sc.chain().scan_inp_index];
   const Fault f{scan_inp, kStemPin, false};
   FrameModel model(nl, f, 8);
-  const PodemResult r = run_podem(model, PodemGoal::ObservePo, {400});
+  const PodemResult r = run_podem(model, PodemGoal::ObservePo, {400, {}});
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(confirm(nl, f, r.subsequence));
   // Detection requires at least chain-length+1 frames of shifting.

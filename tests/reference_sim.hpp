@@ -10,7 +10,6 @@
 //
 //  * detection: the first frame at which some primary output carries a
 //    known good value and the opposite known value in the faulty machine;
-//  * counts: the number of such frames, saturated at a cap;
 //  * latch records: after clocking frame t, DFF j holds a known faulty value
 //    opposing a known good value; the deepest such DFF (largest j) of the
 //    latest frame that reaches at least the current record's depth wins;
@@ -38,7 +37,6 @@ namespace uniscan::ref {
 struct Result {
   bool detected = false;
   std::uint32_t time = 0;   // first detection frame
-  std::uint32_t count = 0;  // detection frames, saturated at the cap
   bool latched = false;
   std::uint32_t ff_index = 0;
   std::uint32_t latch_time = 0;
@@ -108,7 +106,7 @@ inline bool opposed(V3 good, V3 faulty) {
 
 /// Simulate `seq` from the all-X power-up state against one fault.
 inline Result simulate(const Netlist& nl, const std::variant<Fault, TransitionFault>& fault,
-                       const TestSequence& seq, std::uint32_t cap = 1) {
+                       const TestSequence& seq) {
   GateId site = kNoGate;
   std::int16_t pin = kStemPin;
   if (const Fault* f = std::get_if<Fault>(&fault)) site = f->gate, pin = f->pin;
@@ -160,7 +158,6 @@ inline Result simulate(const Netlist& nl, const std::variant<Fault, TransitionFa
     if (observed) {
       if (!r.detected) r.time = static_cast<std::uint32_t>(t);
       r.detected = true;
-      if (r.count < cap) ++r.count;
     }
 
     for (std::size_t j = 0; j < nl.num_dffs(); ++j) {

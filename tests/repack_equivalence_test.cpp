@@ -69,18 +69,6 @@ void expect_same_detections(const std::vector<DetectionRecord>& got,
   }
 }
 
-/// Big enough to span several 256-bit batches, so repacking has batches to
-/// merge and widths to narrow through.
-Netlist make_wide_circuit(std::uint64_t seed) {
-  SynthSpec spec;
-  spec.name = "repack" + std::to_string(seed);
-  spec.num_inputs = 6;
-  spec.num_dffs = 8;
-  spec.num_gates = 140;
-  spec.seed = seed;
-  return generate_synthetic(spec);
-}
-
 TestSequence make_random_sequence(const Netlist& nl, std::size_t length, std::uint64_t seed) {
   Rng rng(seed);
   TestSequence seq(nl.num_inputs());
@@ -110,6 +98,18 @@ Trajectory run_session(const Netlist& nl, const FaultSpan& faults,
 }
 
 #ifndef UNISCAN_SLOW_FUZZ
+
+/// Big enough to span several 256-bit batches, so repacking has batches to
+/// merge and widths to narrow through.
+Netlist make_wide_circuit(std::uint64_t seed) {
+  SynthSpec spec;
+  spec.name = "repack" + std::to_string(seed);
+  spec.num_inputs = 6;
+  spec.num_dffs = 8;
+  spec.num_gates = 140;
+  spec.seed = seed;
+  return generate_synthetic(spec);
+}
 
 // ---------------------------------------------------------------------------
 // Tier-1: repack on/off × width × threads against the repack-off 64-bit

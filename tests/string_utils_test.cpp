@@ -3,9 +3,57 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace uniscan {
 namespace {
+
+TEST(StringUtils, TrimStripsAsciiWhitespaceOnBothEnds) {
+  EXPECT_EQ(trim("  a b \t\r\n"), "a b");
+  EXPECT_EQ(trim("x"), "x");
+  EXPECT_EQ(trim(" \t "), "");
+  EXPECT_EQ(trim(""), "");
+}
+
+TEST(StringUtils, SplitTrimsAndKeepsEmptyElements) {
+  EXPECT_EQ(split("a, b ,c", ','), (std::vector<std::string>{"a", "b", "c"}));
+  // Empty elements survive so the .bench parser can report "AND(a,,b)".
+  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(split(" , ", ','), (std::vector<std::string>{"", ""}));
+  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
+  EXPECT_EQ(split("one", ','), (std::vector<std::string>{"one"}));
+}
+
+TEST(StringUtils, StartsWithIsCaseSensitive) {
+  EXPECT_TRUE(starts_with("INPUT(a)", "INPUT"));
+  EXPECT_TRUE(starts_with("abc", ""));
+  EXPECT_FALSE(starts_with("input(a)", "INPUT"));
+  EXPECT_FALSE(starts_with("IN", "INPUT"));
+}
+
+TEST(StringUtils, ToUpperChangesOnlyAsciiLetters) {
+  EXPECT_EQ(to_upper("nand2_x"), "NAND2_X");
+  EXPECT_EQ(to_upper("Dff"), "DFF");
+  EXPECT_EQ(to_upper(""), "");
+}
+
+TEST(StringUtils, NumberedAppendsDecimal) {
+  EXPECT_EQ(numbered("I", 3), "I3");
+  EXPECT_EQ(numbered("g", 0), "g0");
+  EXPECT_EQ(numbered("", 42), "42");
+  EXPECT_EQ(numbered("net_", std::numeric_limits<std::uint64_t>::max()),
+            "net_18446744073709551615");
+}
+
+TEST(StringUtils, ExcerptCapsLongInput) {
+  EXPECT_EQ(excerpt("short"), "short");
+  const std::string exact(48, 'x');
+  EXPECT_EQ(excerpt(exact), exact);
+  EXPECT_EQ(excerpt(exact + "y"), exact + "...");
+  EXPECT_EQ(excerpt("abcdef", 3), "abc...");
+  EXPECT_EQ(excerpt("", 0), "");
+}
 
 TEST(FlagUint, AcceptsPlainDecimalUpToMax) {
   EXPECT_EQ(flag_uint("--seed=0"), 0u);

@@ -80,7 +80,9 @@ std::vector<Event> parse_trace(const std::string& path) {
     EXPECT_TRUE(e.phase == 'B' || e.phase == 'E') << line;
     EXPECT_GE(e.tid, 0) << line;
     EXPECT_GE(e.ts, 0) << line;
-    if (e.phase == 'B') EXPECT_FALSE(e.name.empty()) << line;
+    if (e.phase == 'B') {
+      EXPECT_FALSE(e.name.empty()) << line;
+    }
     events.push_back(std::move(e));
   }
   ADD_FAILURE() << "trace file has no footer line";
@@ -96,7 +98,9 @@ std::vector<std::string> span_paths(const std::vector<Event>& events) {
   std::set<std::string> paths;
   for (const Event& e : events) {
     auto it = last_ts.find(e.tid);
-    if (it != last_ts.end()) EXPECT_LE(it->second, e.ts) << "ts not monotonic on tid " << e.tid;
+    if (it != last_ts.end()) {
+      EXPECT_LE(it->second, e.ts) << "ts not monotonic on tid " << e.tid;
+    }
     last_ts[e.tid] = e.ts;
     auto& stack = stacks[e.tid];
     if (e.phase == 'B') {

@@ -139,7 +139,7 @@ TEST(TransitionFrameModel, LaunchConditionEncodedInDCalculus) {
 TEST(TransitionPodem, FindsLaunchAndCapture) {
   const Netlist nl = wire_circuit();
   FrameModel model(nl, TransitionFault{*nl.find("w"), kStemPin, true}, 3);
-  const PodemResult r = run_podem(model, PodemGoal::ObservePo, {100});
+  const PodemResult r = run_podem(model, PodemGoal::ObservePo, {100, {}});
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.frames_used, 2u);  // launch needs a predecessor frame
 

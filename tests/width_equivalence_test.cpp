@@ -236,7 +236,6 @@ void expect_isa_entry_matches_baseline(const Netlist& nl,
           std::vector<Word>(seq.length()), 0};
     typename Runner::AdvanceOptions opt;
     opt.early_exit = false;
-    opt.count_cap = 4;
     opt.latched = r.latched;
     opt.raw_obs = r.raw.data();
     std::vector<W3T<Word>> values;
@@ -251,7 +250,6 @@ void expect_isa_entry_matches_baseline(const Netlist& nl,
   EXPECT_TRUE(entry.s.detected_slots == base.s.detected_slots);
   EXPECT_TRUE(entry.s.live == base.s.live);
   EXPECT_EQ(entry.s.detect_time, base.s.detect_time);
-  EXPECT_EQ(entry.s.detect_count, base.s.detect_count);
   EXPECT_TRUE(entry.s.state == base.s.state);
   EXPECT_EQ(entry.s.prev_driven, base.s.prev_driven);
   EXPECT_EQ(entry.s.frame, base.s.frame);

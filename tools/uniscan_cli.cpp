@@ -13,15 +13,6 @@
 //   uniscan_cli classify    <circuit.bench> [--window=K]
 //   uniscan_cli export      <circuit.bench> <seq.useq> [--chains=N]
 //   uniscan_cli metrics     <circuit.bench> <seq.useq> [--chains=N]
-//   uniscan_cli serve       [--cache-dir=DIR] [--cache-bytes=N] [--max-queue=N]
-//                           [--retries=N] [--backoff-ms=MS] [--default-budget=SECS]
-//                           [--threads=N]
-//
-// `serve` (also spelled `--serve`) runs the resident job scheduler: one JSON
-// request per stdin line, one JSON response line per request on stdout (see
-// README "Service mode" for the schema). Compiled circuit artifacts are
-// cached across jobs — keyed by content hash, persisted under --cache-dir
-// when given — so repeat jobs skip parse/scan/collapse/compile.
 //
 // The circuit argument is always the NON-scan netlist; scan insertion
 // happens internally (--chains, default 1). Sequences are over the scan
@@ -38,17 +29,18 @@
 // toggles live-fault repacking in the streaming sessions (default on,
 // results bit-identical either way, DESIGN.md §5j); --trace=FILE
 // writes a Chrome trace_event JSON of the run (load in chrome://tracing or
-// Perfetto).
+// Perfetto); --threads=N sizes the worker pool (default 1; results are
+// bit-identical at any count).
 // Numeric flags take plain non-negative decimal values (--threads at most
 // ThreadPool::kMaxThreads); anything else is a usage error.
 // Exit codes (core/exit_codes.hpp, shared with the table binaries): 0
-// success, 1 error (std::exception), 2 usage, 3 unexpected non-standard
-// exception, 4 isolated job failures (serve), 5 overload/shed (serve).
+// success, 1 error (std::exception), 2 usage (unknown flag or command), 3
+// unexpected non-standard exception. Code 4 (isolated suite failures) comes
+// only from the table binaries.
 #include <cstdio>
 #include <fstream>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,7 +49,6 @@
 #include "core/exit_codes.hpp"
 #include "core/uniscan.hpp"
 #include "obs/counters.hpp"
-#include "serve/serve_loop.hpp"
 #include "sim/engine.hpp"
 #include "obs/trace.hpp"
 #include "sim/sequence_io.hpp"
@@ -85,20 +76,13 @@ struct CliArgs {
   bool repack = true;     // --repack=on|off: live-fault repacking (§5j)
   double time_budget_secs = 0;
   XFillPolicy fill = XFillPolicy::RandomFill;
-  // serve-only flags
-  std::string cache_dir;              // --cache-dir=DIR: persist artifacts
-  std::size_t cache_bytes = 0;        // --cache-bytes=N: RAM budget (0 = default)
-  std::size_t max_queue = 0;          // --max-queue=N: per-tenant bound (0 = default)
-  int retries = -1;                   // --retries=N: transient retry budget
-  double backoff_ms = -1;             // --backoff-ms=MS: backoff base
-  double default_budget_secs = 0;     // --default-budget=SECS: per-job deadline
-  std::size_t threads = 0;            // --threads=N: global pool size
+  std::size_t threads = 0;  // --threads=N: global pool size (0 = keep the default)
 };
 
 int usage() {
   std::fprintf(stderr,
                "usage: uniscan_cli <stats|insert-scan|generate|compact|faultsim|baseline|"
-               "translate|classify|serve> <circuit.bench> [args] [flags]\n"
+               "translate|classify|export|metrics> <circuit.bench> [args] [flags]\n"
                "run with a command and no arguments for per-command flags\n");
   return kExitUsage;
 }
@@ -115,7 +99,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   CliArgs a;
   a.command = argv[1];
-  if (a.command == "--serve") a.command = "serve";
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-o") {
@@ -156,18 +139,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
       a.fill = XFillPolicy::ZeroFill;
     } else if (arg == "--x-fill=repeat") {
       a.fill = XFillPolicy::RepeatFill;
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      a.cache_dir = arg.substr(12);
-    } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!take(a.cache_bytes, flag_uint(arg))) return std::nullopt;
-    } else if (arg.rfind("--max-queue=", 0) == 0) {
-      if (!take(a.max_queue, flag_uint(arg))) return std::nullopt;
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!take(a.retries, flag_uint(arg, std::numeric_limits<int>::max()))) return std::nullopt;
-    } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      if (!take(a.backoff_ms, flag_number(arg))) return std::nullopt;
-    } else if (arg.rfind("--default-budget=", 0) == 0) {
-      if (!take(a.default_budget_secs, flag_number(arg))) return std::nullopt;
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!take(a.threads, flag_uint(arg, ThreadPool::kMaxThreads))) return std::nullopt;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -330,19 +301,6 @@ int cmd_metrics(const CliArgs& a) {
   return 0;
 }
 
-int cmd_serve(const CliArgs& a) {
-  if (a.threads > 0) ThreadPool::set_global_threads(a.threads);
-  serve::ServeOptions opt;
-  if (!a.cache_dir.empty()) opt.cache.disk_dir = a.cache_dir;
-  if (a.cache_bytes > 0) opt.cache.max_ram_bytes = a.cache_bytes;
-  if (a.max_queue > 0) opt.sched.max_queue_per_tenant = a.max_queue;
-  if (a.retries >= 0) opt.sched.max_retries = a.retries;
-  if (a.backoff_ms >= 0) opt.sched.backoff_base_ms = a.backoff_ms;
-  if (a.default_budget_secs > 0) opt.sched.default_budget_secs = a.default_budget_secs;
-  opt.sched.parent = cli_token(a);
-  return serve::run_serve(std::cin, std::cout, opt);
-}
-
 int cmd_classify(const CliArgs& a) {
   const Netlist c = read_bench_file(a.positional.at(0));
   const ScanCircuit sc = insert_scan(c, a.chains);
@@ -425,7 +383,6 @@ int run_command(const CliArgs& args) {
   if (args.command == "classify") return need(1), cmd_classify(args);
   if (args.command == "export") return need(2), cmd_export(args);
   if (args.command == "metrics") return need(2), cmd_metrics(args);
-  if (args.command == "serve") return cmd_serve(args);
   return usage();
 }
 
@@ -439,6 +396,7 @@ int main(int argc, char** argv) {
   const auto args = parse(argc, argv);
   if (!args) return usage();
   set_global_slot_width(args->slot_width);
+  if (args->threads > 0) ThreadPool::set_global_threads(args->threads);
   set_global_repack(args->repack);
   if (!args->trace.empty()) obs::Tracer::start(args->trace);
   int rc;
