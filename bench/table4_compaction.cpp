@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
 
   // Default: the paper's s27 row. --full: the fast-suite circuits (the
   // larger paper circuits make compaction runs impractically long here);
-  // --circuit/--circuits/--corpus select like the other table binaries.
+  // --circuits/--corpus select like the other table binaries.
   std::vector<SuiteEntry> suite;
-  if (args.circuits.empty() && args.circuit.empty() && args.corpus.empty()) {
+  if (args.circuits.empty() && args.corpus.empty()) {
     suite = args.full ? fast_suite() : std::vector<SuiteEntry>{*find_suite_entry("s27")};
   } else {
     suite = bench::select_suite(args);
@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
              std::to_string(r.detected) + "/" + std::to_string(r.total_faults),
              bench::row_status(r.generation_timed_out || r.rest.timed_out || r.omit.timed_out)});
         if (!r.s27_table.empty()) s27_table = r.s27_table;
-      },
-      cfg.fail_fast);
+      });
   if (!s27_table.empty()) std::cout << "\n" << s27_table;
   return bench::finish_suite(json, args, rows);
 }

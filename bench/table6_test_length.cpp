@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
                                 "omit.total", "omit.scan", "ext", "base.cyc", "status"});
   bench::BenchJson json;
   std::size_t total_omit = 0, total_base = 0;
-  SatSummary sat_total;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
   const auto rows = run_suite_tasks(
       suite,
@@ -56,21 +55,16 @@ int main(int argc, char** argv) {
         json.add(suite[i].name, outcome.value.wall_ms,
                  r.atpg.gate_evals + r.restoration.gate_evals + r.omission.gate_evals, r.raw.total,
                  r.omitted.total, r.timed_out(), &r.stages);
-        if (args.sat != SatMode::Off) {
-          sat_total.add(r.atpg.sat);
-          json.record_sat(args.sat, r.atpg.sat);
-        }
+        if (args.scan_knowledge) json.record_sat(r.atpg.sat);
         total_omit += r.omitted.total;
         total_base += r.baseline.application_cycles();
-      },
-      cfg.fail_fast);
+      });
   if (total_base > 0)
     std::cout << "\nsuite totals: unified+compacted = " << total_omit
               << " cycles, complete-scan baseline = " << total_base << " cycles ("
               << format_pct(100.0 * static_cast<double>(total_omit) /
                             static_cast<double>(total_base))
               << "% of baseline)\n";
-  if (args.sat != SatMode::Off)
-    std::cout << format_sat_summary(args.sat, sat_total) << "\n";
+  json.print_sat_summary();
   return bench::finish_suite(json, args, rows);
 }

@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
                  r.omitted.total, r.timed_out(), &r.stages);
         total_omit += r.omitted.total;
         total_base += r.baseline.application_cycles();
-      },
-      cfg.fail_fast);
+      });
   if (total_base > 0)
     std::cout << "\nsuite totals: translated+compacted = " << total_omit
               << " cycles, complete-scan baseline = " << total_base << " cycles ("

@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
                                 "omit.total", "omit.scan", "status"});
   bench::BenchJson json;
   std::size_t total_faults = 0, total_detected = 0;
-  SatSummary sat_total;
   const PipelineConfig cfg = anchor_suite_budget(bench::make_config(args));
   const auto rows = run_suite_tasks(
       suite,
@@ -88,20 +87,15 @@ int main(int argc, char** argv) {
                        std::to_string(row.omitted.scan), bench::row_status(timed_out)});
         json.add(suite[i].name, row.wall_ms, row.gate_evals, r.sequence.length(),
                  row.omitted.total, timed_out, &row.stages, r.detected);
-        if (args.sat != SatMode::Off) {
-          sat_total.add(r.sat);
-          json.record_sat(args.sat, r.sat);
-        }
+        if (args.scan_knowledge) json.record_sat(r.sat);
         total_faults += r.num_faults;
         total_detected += r.detected;
-      },
-      cfg.fail_fast);
+      });
   if (total_faults > 0)
     std::cout << "\nsuite transition coverage: "
               << format_pct(100.0 * static_cast<double>(total_detected) /
                             static_cast<double>(total_faults))
               << "% (" << total_detected << "/" << total_faults << ")\n";
-  if (args.sat != SatMode::Off)
-    std::cout << format_sat_summary(args.sat, sat_total) << "\n";
+  json.print_sat_summary();
   return bench::finish_suite(json, args, rows);
 }

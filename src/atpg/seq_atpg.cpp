@@ -30,14 +30,12 @@ template <>
 struct AtpgTraits<StuckAtModel> {
   static constexpr std::size_t kLaunchFrames = 0;
   static constexpr std::uint64_t kSeedSalt = 0;  // RNG seed = options.seed ^ salt
-  static constexpr bool kProofPass = true;       // phase 3 (window-1 proof + last chance)
 };
 
 template <>
 struct AtpgTraits<TransitionModel> {
   static constexpr std::size_t kLaunchFrames = 1;
   static constexpr std::uint64_t kSeedSalt = 0x7261746eULL;
-  static constexpr bool kProofPass = false;
 };
 
 TestSequence random_chunk(const ScanCircuit& sc, std::size_t len, double scan_sel_prob,
@@ -80,7 +78,6 @@ AtpgResult generate_tests(const ScanCircuit& sc,
 
   SimSessionT<Model> session(nl, faults);
   std::vector<bool> via_scan_knowledge(faults.size(), false);
-  std::vector<bool> podem_proved(faults.size(), false);
 
   // One strided view of the deadline for the whole generation flow: loop
   // bodies here cost microseconds, so polling the token every iteration
@@ -136,24 +133,6 @@ AtpgResult generate_tests(const ScanCircuit& sc,
     return true;
   };
 
-  // Scan-load-assisted search in a window of `window` frames (plus the
-  // launch): the state is a decision variable, reached through an explicit
-  // scan load, and a latched-only observation gets its flush appended.
-  const auto scan_load_assisted = [&](std::size_t fi, std::size_t window, int backtracks) {
-    FrameModel model(session.compiled(), faults[fi], window + kLaunch);
-    model.set_state_assignable(true);
-    ++result.stats.podem_calls;
-    const PodemResult pr =
-        run_podem(model, PodemGoal::ScanObserve, {backtracks, options.cancel});
-    if (!pr.success) return false;
-    const auto flush = pr.observed_at_po ? std::nullopt : std::optional(pr.latched_dff);
-    if (!try_commit(fi, make_scan_test(sc, pr.scan_in, pr.subsequence, flush, rng)))
-      return false;
-    ++result.stats.scan_load_assisted;
-    if (!pr.observed_at_po) via_scan_knowledge[fi] = true;
-    return true;
-  };
-
   // ---- phase 2: deterministic per-fault generation --------------------------
   State good, faulty;
   V3 prev_driven = V3::X;
@@ -184,9 +163,23 @@ AtpgResult generate_tests(const ScanCircuit& sc,
 
     // (b) Scan-load justification assist (paper Section 2, justification
     // side): search with an assignable state in a SMALL window, then reach
-    // that state through an explicit scan load. Keeps the window short even
-    // for circuits with long chains.
-    if (scan_load_assisted(fi, options.justify_window, options.max_backtracks)) return;
+    // that state through an explicit scan load, appending a flush when the
+    // effect is only latched. Keeps the window short even for circuits with
+    // long chains.
+    {
+      FrameModel model(session.compiled(), faults[fi], options.justify_window + kLaunch);
+      model.set_state_assignable(true);
+      ++result.stats.podem_calls;
+      const PodemResult pr =
+          run_podem(model, PodemGoal::ScanObserve, {options.max_backtracks, options.cancel});
+      const auto flush = pr.observed_at_po ? std::nullopt : std::optional(pr.latched_dff);
+      if (pr.success &&
+          try_commit(fi, make_scan_test(sc, pr.scan_in, pr.subsequence, flush, rng))) {
+        ++result.stats.scan_load_assisted;
+        if (!pr.observed_at_po) via_scan_knowledge[fi] = true;
+        return;
+      }
+    }
 
     // (c) Section-2 fallback: latch the effect from the CURRENT state, then
     // flush it to scan_out.
@@ -201,35 +194,15 @@ AtpgResult generate_tests(const ScanCircuit& sc,
     if (try_commit(fi, std::move(sub))) via_scan_knowledge[fi] = true;
   });
 
-  // ---- phase 3: escalated last-chance pass (stuck-at) ------------------------
-  // The per-fault budget above is deliberately small; give the survivors one
-  // deep scan-load-assisted search each.
-  if (Traits::kProofPass && options.use_scan_knowledge && options.final_effort_backtracks > 0) {
-    for_each_undetected([&](std::size_t fi) {
-      // Cheap exhaustive proof first: if no single-vector scan test exists,
-      // the deep multi-frame search below is almost certainly futile — skip
-      // it and report the fault as proved redundant instead. A search cut
-      // short by the deadline proves nothing — `aborted` guards the count.
-      FrameModel proof(session.compiled(), faults[fi], 1);
-      proof.set_state_assignable(true);
-      const PodemResult pr = run_podem(proof, PodemGoal::ScanObserve,
-                                       {options.final_effort_backtracks, options.cancel});
-      if (!pr.success && !pr.aborted && pr.backtracks <= options.final_effort_backtracks) {
-        podem_proved[fi] = true;
-        ++result.proved_redundant;
-        return;
-      }
-      scan_load_assisted(fi, options.justify_window, options.final_effort_backtracks);
-    });
-  }
-
-  // ---- phase 3.5: SAT second chance (DESIGN.md §5l) --------------------------
-  // Everything PODEM left undecided — undetected and not proved redundant —
-  // gets one complete search: the miter either yields a test (replayed
-  // through the session like every other candidate) or an UNSAT proof that
-  // upgrades the fault from implicitly-Aborted to Redundant(proved). The
-  // miter is as deep as the PODEM windows: sat_frames plus the launch.
-  if (options.sat_mode != SatMode::Off && !result.timed_out) {
+  // ---- phase 3: SAT second chance (DESIGN.md §5l) ----------------------------
+  // Every fault PODEM left undetected gets one complete search: the miter
+  // either yields a test (replayed through the session like every other
+  // candidate) or an UNSAT proof that upgrades the fault from
+  // implicitly-Aborted to Redundant(proved). The miter is sat_frames deep
+  // plus the launch. A SAT test is a scan-load test, so the pass belongs to
+  // the scan knowledge and the --no-scan-knowledge ablation skips it.
+  if (options.sat_mode == SatMode::SecondChance && options.use_scan_knowledge &&
+      !result.timed_out) {
     const sat::SatEngine engine(session.compiled());
     sat::SatEngineOptions sopt;
     sopt.frames = options.sat_frames + kLaunch;
@@ -238,19 +211,6 @@ AtpgResult generate_tests(const ScanCircuit& sc,
     sopt.max_conflicts = options.sat_max_conflicts;
     sopt.cancel = options.cancel;
     for_each_undetected([&](std::size_t fi) {
-      if (podem_proved[fi]) {
-        // PODEM already exhausted the window-1 space; only the cross-check
-        // mode spends solver time re-deriving (or refuting) that claim.
-        if (options.sat_mode == SatMode::CrossCheck) {
-          ++result.sat.cross_checks;
-          const sat::SatResult sr = engine.prove(faults[fi], sopt);
-          if (sr.verdict == sat::SatVerdict::Testable) {
-            ++result.sat.mismatches;
-            UNISCAN_LOG(Warn) << "SAT found a test for PODEM-proved fault " << fi;
-          }
-        }
-        return;
-      }
       ++result.sat.attempts;
       const sat::SatResult sr = engine.prove(faults[fi], sopt);
       if (sr.verdict == sat::SatVerdict::RedundantProved) {

@@ -6,11 +6,16 @@
 //   1. a cheap random bootstrap phase (accepted chunk-wise only when it
 //      detects new faults),
 //   2. per remaining fault, deterministic PODEM search over a growing
-//      time-frame window, starting from the machine-pair state reached by T,
-//   3. when deterministic detection fails, the Section-2 scan-knowledge
-//      fallback: search only until the fault effect is LATCHED into a
-//      flip-flop, then append a scan flush (scan_sel = 1) to carry it to
-//      scan_out. Faults detected this way populate Table 5's `funct` column.
+//      time-frame window, starting from the machine-pair state reached by T;
+//      with scan knowledge, then a scan-load-assisted search in a short
+//      window and the Section-2 fallback: search only until the fault
+//      effect is LATCHED into a flip-flop, then append a scan flush
+//      (scan_sel = 1) to carry it to scan_out. Faults detected this way
+//      populate Table 5's `funct` column,
+//   3. with scan knowledge, the SAT second chance (DESIGN.md §5l) for every
+//      fault phase 2 left undetected: a scan-load test from the miter's
+//      model, or a proof that no (SI, T) test of sat_frames vectors exists
+//      — the completeness the paper notes its procedure lacks.
 //
 // Every extension is committed through a streaming fault-simulation session,
 // so detection bookkeeping is exact and incremental; the final sequence is
@@ -52,32 +57,27 @@ struct AtpgOptions {
   int max_backtracks = 120;
 
   // Section-2 functional scan knowledge (Table 5 ablation switch). Controls
-  // both the latch-and-flush fallback (the paper's `funct` mechanism) and
-  // the scan-load justification assist (the paper's Section-2 note on state
-  // justification through the chain).
+  // the latch-and-flush fallback (the paper's `funct` mechanism), the
+  // scan-load justification assist (the paper's Section-2 note on state
+  // justification through the chain) and the SAT second chance, whose tests
+  // are scan-load tests too. Without it the generator is forward PODEM only.
   bool use_scan_knowledge = true;
   std::size_t fallback_window = 8;
   std::size_t justify_window = 8;
 
-  // Last-chance pass: remaining undetected faults get one scan-load-assisted
-  // search with this (much larger) backtrack budget. 0 disables the pass.
-  int final_effort_backtracks = 6000;
-
-  // SAT second chance (DESIGN.md §5l). Off keeps the pipeline byte-identical
-  // to the pre-SAT generator; SecondChance hands every fault still undecided
-  // after the last-chance pass to the SAT engine (sat/sat_engine.hpp);
-  // CrossCheck additionally re-proves PODEM's own redundancy claims and
-  // counts disagreements in `AtpgResult::sat.mismatches`.
-  SatMode sat_mode = SatMode::Off;
+  // SAT second chance (DESIGN.md §5l): every fault phase 2 leaves
+  // undetected goes to the SAT engine (sat/sat_engine.hpp), which finds a
+  // test or proves the fault redundant at its depth. Off skips the pass
+  // (the mid and large corpus digest profiles use it to stay PODEM only).
+  SatMode sat_mode = SatMode::SecondChance;
   std::int64_t sat_max_conflicts = 20000;  // per-fault solver budget
   std::size_t sat_frames = 1;              // unrolled depth of the miter
 };
 
 struct AtpgStats {
-  /// Searches of phase 2's forward windows and of every scan-load-assisted
-  /// search (phase 2 and the last-chance pass). The latch fallback (see
-  /// fallback_attempts) and the last-chance window-1 proofs are not
-  /// counted; obs::Counter::PodemSearches counts every run_podem call.
+  /// Searches of phase 2's forward windows and scan-load-assisted
+  /// searches. The latch fallback (see fallback_attempts) is not counted;
+  /// obs::Counter::PodemSearches counts every run_podem call.
   std::size_t podem_calls = 0;
   std::size_t podem_successes = 0;
   std::size_t scan_load_assisted = 0;  // detections via scan-load justification
@@ -90,12 +90,12 @@ struct AtpgResult {
   std::size_t num_faults = 0;
   std::size_t detected = 0;
   std::size_t detected_by_scan_knowledge = 0;  // the `funct` column
-  /// Undetected faults PROVED untestable: by the last-chance pass's window-1
-  /// exhaustive search (stuck-at; any single-vector scan test) — the
-  /// completeness extension the paper notes its procedure lacks — or by the
-  /// SAT second chance up to its unrolled depth (for transition faults
-  /// sat_frames + 1 launch frame with X launch history, a depth-bounded
-  /// claim; see sat/sat_engine.hpp).
+  /// Undetected faults PROVED untestable by the SAT second chance up to its
+  /// unrolled depth: for stuck-at faults at sat_frames = 1, no single-vector
+  /// scan test exists — the completeness extension the paper notes its
+  /// procedure lacks; for transition faults sat_frames + 1 launch frame
+  /// with a quantified launch history, a depth-bounded claim (see
+  /// sat/sat_engine.hpp). Equal to `sat.proved_redundant`.
   std::size_t proved_redundant = 0;
   /// True when AtpgOptions::cancel fired: the sequence is the verified
   /// best-so-far prefix and the faults not reached remain undetected.
@@ -105,8 +105,8 @@ struct AtpgResult {
   /// Gate-word evaluations spent on fault simulation (session + final
   /// verification) — the bench binaries' work metric.
   std::uint64_t gate_evals = 0;
-  /// What the SAT second-chance phase contributed (all zero when
-  /// `AtpgOptions::sat_mode == SatMode::Off`).
+  /// What the SAT second-chance phase contributed (all zero when the pass
+  /// did not run: `SatMode::Off` or no scan knowledge).
   SatSummary sat;
 
   double fault_coverage() const {

@@ -1,5 +1,5 @@
-// The SAT second-chance verdict taxonomy shared by the generators, the
-// redundancy identifier, and the table binaries (DESIGN.md §5l).
+// The SAT verdict taxonomy shared by the generators, the redundancy
+// identifier, and the table binaries (DESIGN.md §5l).
 //
 // Every per-fault outcome is one of three verdicts:
 //
@@ -8,37 +8,19 @@
 //  * Redundant(proved) — an UNSAT result of the full miter up to the
 //                        unrolled depth; for stuck-at faults at window 1
 //                        this is conventional-scan untestability,
-//  * Aborted           — budgets or cancellation cut the search short; an
-//                        aborted search never claims Redundant (PR 4).
+//  * Aborted           — budgets or cancellation cut the search short, or
+//                        a model failed to replay; an aborted search never
+//                        claims Redundant (PR 4).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace uniscan {
 
 enum class SatMode : std::uint8_t {
-  Off,           // no SAT calls anywhere; byte-identical to the pre-SAT pipeline
-  SecondChance,  // retry PODEM-aborted faults with the SAT engine
-  CrossCheck,    // SecondChance plus re-proving PODEM's own Redundant claims
+  Off,           // no SAT calls: the generator is PODEM only (phases 1 and 2)
+  SecondChance,  // every fault PODEM leaves undetected goes to the SAT engine
 };
-
-constexpr std::string_view sat_mode_name(SatMode m) noexcept {
-  switch (m) {
-    case SatMode::Off: return "off";
-    case SatMode::SecondChance: return "second-chance";
-    case SatMode::CrossCheck: return "cross-check";
-  }
-  return "off";
-}
-
-constexpr std::optional<SatMode> parse_sat_mode(std::string_view s) noexcept {
-  if (s == "off") return SatMode::Off;
-  if (s == "second-chance") return SatMode::SecondChance;
-  if (s == "cross-check") return SatMode::CrossCheck;
-  return std::nullopt;
-}
 
 /// What the SAT phase contributed, reported on the ATPG / redundancy results
 /// and in the bench-JSON `sat` block.
@@ -47,10 +29,8 @@ struct SatSummary {
   std::uint64_t detected = 0;         // SAT models that replayed to a detection
   std::uint64_t proved_redundant = 0; // UNSAT certificates up to the depth
   std::uint64_t aborted = 0;          // engine budget/cancel exhausted
-  std::uint64_t cross_checks = 0;     // PODEM Redundant claims re-proved
-  std::uint64_t mismatches = 0;       // oracle disagreements (model failed to
-                                      // replay, or PODEM-Redundant proved SAT)
-  bool any() const noexcept { return attempts != 0 || cross_checks != 0; }
+  std::uint64_t mismatches = 0;       // models that failed to replay through
+                                      // the fault simulator
 
   /// Accumulate another summary (suite totals in the table binaries).
   void add(const SatSummary& o) noexcept {
@@ -58,7 +38,6 @@ struct SatSummary {
     detected += o.detected;
     proved_redundant += o.proved_redundant;
     aborted += o.aborted;
-    cross_checks += o.cross_checks;
     mismatches += o.mismatches;
   }
 };

@@ -161,28 +161,22 @@ std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
     const std::string& bench_dir) {
   const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks(
-      suite,
-      [&](std::size_t i) {
-        const Netlist c = run_stage(suite[i].name, "load",
-                                    [&] { return load_circuit(suite[i], bench_dir); });
-        return run_generate_and_compact(c, cfg);
-      },
-      NoEmit{}, cfg.fail_fast);
+  return run_suite_tasks(suite, [&](std::size_t i) {
+    const Netlist c =
+        run_stage(suite[i].name, "load", [&] { return load_circuit(suite[i], bench_dir); });
+    return run_generate_and_compact(c, cfg);
+  });
 }
 
 std::vector<TaskOutcome<TranslateCompactReport>> run_suite_translate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config,
     const std::string& bench_dir) {
   const PipelineConfig cfg = anchor_suite_budget(config);
-  return run_suite_tasks(
-      suite,
-      [&](std::size_t i) {
-        const Netlist c = run_stage(suite[i].name, "load",
-                                    [&] { return load_circuit(suite[i], bench_dir); });
-        return run_translate_and_compact(c, cfg);
-      },
-      NoEmit{}, cfg.fail_fast);
+  return run_suite_tasks(suite, [&](std::size_t i) {
+    const Netlist c =
+        run_stage(suite[i].name, "load", [&] { return load_circuit(suite[i], bench_dir); });
+    return run_translate_and_compact(c, cfg);
+  });
 }
 
 }  // namespace uniscan

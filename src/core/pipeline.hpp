@@ -58,10 +58,6 @@ struct PipelineConfig {
   /// Externally supplied parent token (e.g. a Ctrl-C handler). Budgets
   /// derive children from it, so it cancels everything regardless of them.
   CancelToken cancel;
-  /// When true, a circuit failure aborts the whole suite run (the failing
-  /// task's exception propagates). Default: failures are isolated into
-  /// per-task TaskFailure records and the other circuits finish normally.
-  bool fail_fast = false;
 };
 
 /// Structured record of one circuit task that failed: which circuit, which
@@ -187,20 +183,16 @@ struct NoEmit {
 ///
 /// Failures are isolated: a task that throws is captured into its own
 /// slot's TaskFailure (stage-tagged when the error is a StageError) and the
-/// other entries complete normally (DESIGN.md §5f). With `fail_fast` the
-/// exception escapes instead — the pool rethrows the LOWEST-index failing
-/// task's exception after draining, deterministically.
+/// other entries complete normally (DESIGN.md §5f).
 ///
 /// Emission streams: `emit(index, outcome)` is called for every slot, in
 /// suite order, as soon as the completed prefix grows, so a long run under
 /// --time-budget shows its finished rows while the stragglers still compute.
 /// Emission is keyed on slot index, never on completion order. `emit` runs
 /// under an internal mutex on whichever worker finished the
-/// prefix-extending task; keep it cheap (format + print one row). With
-/// `fail_fast`, rows from the first failure on are not emitted.
+/// prefix-extending task; keep it cheap (format + print one row).
 template <typename Fn, typename Emit = NoEmit>
-auto run_suite_tasks(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit = {},
-                     bool fail_fast = false) {
+auto run_suite_tasks(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit = {}) {
   using R = std::invoke_result_t<Fn&, std::size_t>;
   const obs::TraceSpan span("suite");
   std::vector<TaskOutcome<R>> out(suite.size());
@@ -210,17 +202,12 @@ auto run_suite_tasks(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit 
   ThreadPool::global().parallel_for(suite.size(), [&](std::size_t task, std::size_t) {
     try {
       out[task].value = fn(task);
+    } catch (const StageError& e) {
+      out[task].failure = TaskFailure{suite[task].name, e.stage(), e.what()};
+    } catch (const std::exception& e) {
+      out[task].failure = TaskFailure{suite[task].name, "unknown", e.what()};
     } catch (...) {
-      if (fail_fast) throw;
-      try {
-        throw;
-      } catch (const StageError& e) {
-        out[task].failure = TaskFailure{suite[task].name, e.stage(), e.what()};
-      } catch (const std::exception& e) {
-        out[task].failure = TaskFailure{suite[task].name, "unknown", e.what()};
-      } catch (...) {
-        out[task].failure = TaskFailure{suite[task].name, "unknown", "non-standard exception"};
-      }
+      out[task].failure = TaskFailure{suite[task].name, "unknown", "non-standard exception"};
     }
     const std::lock_guard<std::mutex> lock(mu);
     done[task] = 1;
@@ -233,10 +220,9 @@ auto run_suite_tasks(const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit 
 }
 
 /// Per-circuit parallel versions of the two flows over run_suite_tasks: one
-/// isolated, deadline-aware task per suite entry (`config.fail_fast` selects
-/// fail-fast). A suite-wide `time_budget_secs` is anchored ONCE here (not
-/// per circuit); `per_circuit_budget_secs` is anchored inside each
-/// circuit's flow.
+/// isolated, deadline-aware task per suite entry. A suite-wide
+/// `time_budget_secs` is anchored ONCE here (not per circuit);
+/// `per_circuit_budget_secs` is anchored inside each circuit's flow.
 std::vector<TaskOutcome<GenerateCompactReport>> run_suite_generate_and_compact(
     const std::vector<SuiteEntry>& suite, const PipelineConfig& config = {},
     const std::string& bench_dir = {});

@@ -94,11 +94,10 @@ std::string format_pct(double v) {
   return os.str();
 }
 
-std::string format_sat_summary(SatMode mode, const SatSummary& s) {
+std::string format_sat_summary(const SatSummary& s) {
   std::ostringstream os;
-  os << "sat[" << sat_mode_name(mode) << "]: attempts=" << s.attempts
-     << " detected=" << s.detected << " proved_redundant=" << s.proved_redundant
-     << " aborted=" << s.aborted << " cross_checks=" << s.cross_checks
+  os << "sat[second-chance]: attempts=" << s.attempts << " detected=" << s.detected
+     << " proved_redundant=" << s.proved_redundant << " aborted=" << s.aborted
      << " mismatches=" << s.mismatches;
   return os.str();
 }

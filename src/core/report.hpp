@@ -53,10 +53,10 @@ class StreamTable {
 /// Format a double like the paper's coverage column ("99.63").
 std::string format_pct(double v);
 
-/// One-line rendering of what a SAT second-chance pass contributed, printed
-/// by the table binaries under their suite totals when --sat is active:
+/// One-line rendering of what the SAT second chance contributed, printed by
+/// the ATPG table binaries under their suite totals:
 ///   "sat[second-chance]: attempts=5 detected=1 proved_redundant=2 ..."
-std::string format_sat_summary(SatMode mode, const SatSummary& s);
+std::string format_sat_summary(const SatSummary& s);
 
 /// Render a unified test sequence like the paper's Tables 1/3/4: one row per
 /// time unit with original inputs, then scan_sel, then scan_inp.

@@ -21,18 +21,17 @@ DigestOptions digest_profile(CorpusTier tier, std::size_t num_gates) {
   opt.atpg.seed = 1;
   switch (tier) {
     case CorpusTier::Fast:
-      // Full pipeline, near-default effort: fast rows are small enough that
-      // the whole flow is sub-second.
-      opt.atpg.final_effort_backtracks = 1500;
+      // Full pipeline at default effort, SAT second chance included: fast
+      // rows are small enough that the whole flow is sub-second.
       break;
     case CorpusTier::Mid:
-      // The last-chance pass and the omission trial loop dominate mid-size
-      // wall time; cap the first, drop the second, and target a
+      // The last-chance search and the omission trial loop dominate
+      // mid-size wall time; drop both, cap PODEM, and target a
       // deterministic 1500-fault prefix of the collapsed universe. Still
       // the real parser, scan insertion, fault collapsing, session fault
       // simulation, PODEM, and restoration on a paper-scale circuit.
       opt.atpg.max_backtracks = 40;
-      opt.atpg.final_effort_backtracks = 0;
+      opt.atpg.sat_mode = SatMode::Off;
       opt.atpg.max_random_chunks = 24;
       opt.max_faults = 1500;
       opt.run_omission = false;
@@ -47,7 +46,7 @@ DigestOptions digest_profile(CorpusTier tier, std::size_t num_gates) {
       break;
     case CorpusTier::Large:
       opt.atpg.max_backtracks = 20;
-      opt.atpg.final_effort_backtracks = 0;
+      opt.atpg.sat_mode = SatMode::Off;
       opt.atpg.max_random_chunks = 12;
       opt.atpg.window_schedule = {4};
       opt.max_faults = 500;

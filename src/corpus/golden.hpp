@@ -37,8 +37,8 @@ struct DigestOptions {
 };
 
 /// The fixed per-tier effort profile. fast = the full pipeline; mid drops
-/// omission (the trial loop dominates wall time) and caps the last-chance
-/// backtrack budget; large additionally drops restoration and bounds the
+/// omission (the trial loop dominates wall time) and the SAT second chance
+/// and caps PODEM's backtracks; large additionally drops restoration and bounds the
 /// fault universe. `num_gates` further scales mid rows past
 /// kMidGateBudget down to large-row effort — per-PODEM-call and
 /// per-fault-sim cost grows with the netlist, so a flat fault budget

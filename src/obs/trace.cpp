@@ -8,6 +8,7 @@
 #include <mutex>
 #include <vector>
 
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 namespace uniscan::obs {
@@ -55,29 +56,6 @@ void record(Event e) noexcept {
     return;
   }
   b.events.push_back(std::move(e));
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

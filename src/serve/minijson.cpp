@@ -4,9 +4,31 @@
 #include <charconv>
 #include <cstdio>
 
+#include "util/string_utils.hpp"
+
 namespace uniscan::serve {
 
 namespace {
+
+/// JSON's number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+bool is_json_number(std::string_view t) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < t.size() && std::isdigit(static_cast<unsigned char>(t[i]))) ++i;
+    return i > from;
+  };
+  if (i < t.size() && t[i] == '-') ++i;
+  if (i < t.size() && t[i] == '0') ++i;
+  else if (!digits()) return false;
+  if (i < t.size() && t[i] == '.' && (++i, !digits())) return false;
+  if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+    ++i;
+    if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == t.size();
+}
 
 struct Parser {
   std::string_view text;
@@ -75,10 +97,11 @@ struct Parser {
     return fail("unterminated string");
   }
 
-  /// Skip one balanced array/object and return its raw text.
+  /// Skip one balanced array/object and return its raw text. Each closing
+  /// bracket must match the innermost open one.
   bool skip_raw(std::string& out) {
     const std::size_t start = pos;
-    int depth = 0;
+    std::string closers;  // the closing bracket each open one expects
     bool in_str = false;
     while (!eof()) {
       const char c = text[pos];
@@ -92,10 +115,11 @@ struct Parser {
       } else if (c == '"') {
         in_str = true;
       } else if (c == '[' || c == '{') {
-        ++depth;
+        closers.push_back(c == '[' ? ']' : '}');
       } else if (c == ']' || c == '}') {
-        --depth;
-        if (depth == 0) {
+        if (closers.back() != c) return fail(std::string("mismatched '") + c + "'");
+        closers.pop_back();
+        if (closers.empty()) {
           ++pos;
           out = std::string(text.substr(start, pos - start));
           return true;
@@ -135,35 +159,25 @@ struct Parser {
       pos += 4;
       return true;
     }
-    // number
+    // number: the token runs over every character a number may contain and
+    // must then be one complete JSON number.
     const std::size_t start = pos;
-    if (!eof() && (peek() == '-' || peek() == '+')) ++pos;
-    bool is_double = false;
-    while (!eof()) {
-      const char n = peek();
-      if (std::isdigit(static_cast<unsigned char>(n))) {
-        ++pos;
-      } else if (n == '.' || n == 'e' || n == 'E' || n == '-' || n == '+') {
-        is_double = true;
-        ++pos;
-      } else {
-        break;
-      }
-    }
+    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) || peek() == '.' ||
+                      peek() == 'e' || peek() == 'E' || peek() == '-' || peek() == '+'))
+      ++pos;
     if (pos == start) return fail("expected value");
     const std::string_view num = text.substr(start, pos - start);
-    if (!is_double) {
-      const auto [p, ec] = std::from_chars(num.data(), num.data() + num.size(), v.i);
-      if (ec == std::errc() && p == num.data() + num.size()) {
+    if (!is_json_number(num)) return fail("bad number '" + std::string(num) + "'");
+    const char* end = num.data() + num.size();
+    if (num.find_first_of(".eE") == std::string_view::npos) {
+      const auto [p, ec] = std::from_chars(num.data(), end, v.i);
+      if (ec == std::errc() && p == end) {
         v.kind = JsonValue::Kind::Int;
         return true;
       }
     }
-    try {
-      v.d = std::stod(std::string(num));
-    } catch (...) {
-      return fail("bad number '" + std::string(num) + "'");
-    }
+    const auto [p, ec] = std::from_chars(num.data(), end, v.d);
+    if (ec != std::errc() || p != end) return fail("bad number '" + std::string(num) + "'");
     v.kind = JsonValue::Kind::Double;
     return true;
   }
@@ -220,29 +234,6 @@ std::optional<JsonObject> parse_json_object(std::string_view text, std::string* 
     return std::nullopt;
   }
   return obj;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 void JsonWriter::key(std::string_view k) {

@@ -2,8 +2,9 @@
 // writer. Its one user is perfbench (perfbench/uniscan_perfbench.cpp), which
 // reads trace events and writes its result lines with it; the directory name
 // is historical. Values are scalars (string/number/bool/null); nested
-// arrays/objects are preserved as raw JSON text (a forgiving parser never
-// dies on extras). No external dependencies, by repo policy.
+// arrays/objects are preserved as raw JSON text, their brackets checked for
+// balance but their contents not parsed. Numbers follow JSON's grammar
+// exactly. No external dependencies, by repo policy.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +46,6 @@ using JsonObject = std::map<std::string, JsonValue>;
 /// Parse one JSON object. Returns nullopt and fills `error` (if non-null) on
 /// malformed input; trailing garbage after the closing brace is an error.
 std::optional<JsonObject> parse_json_object(std::string_view text, std::string* error = nullptr);
-
-/// JSON string escaping (shared with the writer; mirrors bench_common's).
-std::string json_escape(std::string_view s);
 
 /// Incremental writer for one flat JSON object, emitted in append order.
 class JsonWriter {

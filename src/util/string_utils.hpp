@@ -34,6 +34,11 @@ std::string numbered(std::string_view prefix, std::uint64_t n);
 /// cannot explode a diagnostic.
 std::string excerpt(std::string_view s, std::size_t max_len = 48);
 
+/// `s` escaped for a JSON string literal: quotes, backslashes and control
+/// characters (\n, \r, \t by name, the rest as \u00XX). Shared by every
+/// JSON writer (bench JSON, trace, CLI errors, perfbench lines).
+std::string json_escape(std::string_view s);
+
 /// Strict value of a numeric command-line flag. `arg` is the whole
 /// "--name=value" argument. flag_uint accepts only an unsigned decimal
 /// integer in [0, max]; flag_number only a finite non-negative decimal

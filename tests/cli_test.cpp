@@ -396,6 +396,13 @@ TEST(SuiteSelection, RepeatedCircuitNameRejected) {
     EXPECT_EQ(r.exit_code, 2) << flags << ": " << r.output;
     EXPECT_NE(r.output.find("'s27' is repeated"), std::string::npos) << flags << ": " << r.output;
   }
+  // Removed flags are unknown flags: --circuits=NAME selects one circuit,
+  // SAT always runs, and failures are always isolated.
+  for (const std::string flag : {"--circuit=s27", "--fail-fast", "--sat=second-chance"}) {
+    const RunResult r = run_binary(UNISCAN_SUITE_TABLE_PATH, flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown flag: " + flag), std::string::npos) << r.output;
+  }
   const RunResult ok = run_binary(UNISCAN_SUITE_TABLE_PATH, "--corpus=fast --circuits=s27");
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
 }

@@ -63,7 +63,6 @@ TEST_P(FuzzPipeline, EndToEndInvariants) {
   // Generation: reported detections must match independent simulation.
   AtpgOptions opt;
   opt.seed = GetParam();
-  opt.final_effort_backtracks = 500;  // keep fuzz runs quick
   const AtpgResult atpg = generate_tests(sc, fl, opt);
   FaultSimulator sim(sc.netlist);
   const auto check = sim.run(atpg.sequence, fl.faults());
@@ -207,7 +206,7 @@ TEST_P(FuzzCorpus, CorpusCaseReproducibleFromSeed) {
   AtpgOptions opt;
   opt.seed = seed;
   opt.max_backtracks = 10;
-  opt.final_effort_backtracks = 0;
+  opt.sat_mode = SatMode::Off;
   opt.max_random_chunks = 4;
   opt.window_schedule = {4};
   const AtpgResult first = generate_tests(sc, fl, opt);

@@ -42,6 +42,18 @@ TEST(MiniJson, ParsesEveryScalarKind) {
   EXPECT_EQ(o.at("n").kind, Kind::Null);
 }
 
+TEST(MiniJson, AcceptsEveryJsonNumberForm) {
+  const JsonObject o =
+      parse_ok(R"({"z":0,"nz":-0,"f":0.25,"nf":-10.5,"e":1E+2,"ne":-1.5e-3,"big":12e2})");
+  EXPECT_EQ(o.at("z").i, 0);
+  EXPECT_EQ(o.at("nz").kind, Kind::Int);
+  EXPECT_EQ(o.at("f").d, 0.25);
+  EXPECT_EQ(o.at("nf").d, -10.5);
+  EXPECT_EQ(o.at("e").d, 100.0);
+  EXPECT_DOUBLE_EQ(o.at("ne").d, -0.0015);
+  EXPECT_EQ(o.at("big").d, 1200.0);
+}
+
 TEST(MiniJson, EmptyObjectAndSurroundingWhitespace) {
   EXPECT_TRUE(parse_ok("{}").empty());
   EXPECT_TRUE(parse_ok(" \t{ }\n").empty());
@@ -110,13 +122,6 @@ TEST(MiniJson, AccessorsConvertOrFallBack) {
 TEST(MiniJson, ErrorOutputIsOptional) {
   EXPECT_FALSE(parse_json_object("{\"a\":}").has_value());
   EXPECT_FALSE(parse_json_object("").has_value());
-}
-
-TEST(MiniJson, EscapeRendersQuotesBackslashesAndControlCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
-  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
 }
 
 TEST(MiniJson, WriterEmitsFieldsInAppendOrder) {
@@ -188,7 +193,15 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"BadUnicodeEscape", R"({"a":"\u12g4"})", "bad \\u escape"},
         MalformedCase{"TruncatedUnicodeEscape", R"({"a":"\u12)", "truncated \\u escape"},
         MalformedCase{"UnterminatedArray", R"({"a":[1,2)", "unterminated array/object"},
+        MalformedCase{"MismatchedBracket", R"({"a":[1,2}})", "mismatched '}'"},
+        MalformedCase{"MismatchedNestedBracket", R"({"a":{"b":[1}]})", "mismatched '}'"},
         MalformedCase{"LoneMinus", R"({"a":-})", "bad number '-'"},
+        MalformedCase{"TwoDecimalPoints", R"({"a":1.2.3})", "bad number '1.2.3'"},
+        MalformedCase{"MinusInsideNumber", R"({"a":1-2})", "bad number '1-2'"},
+        MalformedCase{"LeadingPlus", R"({"a":+1})", "bad number '+1'"},
+        MalformedCase{"LeadingZero", R"({"a":01})", "bad number '01'"},
+        MalformedCase{"BareDecimalPoint", R"({"a":1.})", "bad number '1.'"},
+        MalformedCase{"EmptyExponent", R"({"a":1e})", "bad number '1e'"},
         MalformedCase{"BareWord", R"({"a":yes})", "expected value"}),
     [](const ::testing::TestParamInfo<MalformedCase>& info) { return info.param.name; });
 

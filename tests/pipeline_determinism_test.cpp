@@ -78,8 +78,7 @@ void expect_same(const std::vector<GenerateCompactReport>& got,
 
 TEST(PipelineDeterminism, GenerateSuiteIdenticalAcrossThreadCounts) {
   const auto suite = mini_suite();
-  PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;  // keep the mini-suite quick
+  const PipelineConfig cfg;
 
   PoolGuard one(1);
   const auto want = reports(run_suite_generate_and_compact(suite, cfg));
@@ -97,8 +96,7 @@ TEST(PipelineDeterminism, GenerateSuiteIdenticalAcrossThreadCounts) {
 
 TEST(PipelineDeterminism, GenerateSuiteRepeatableAtFixedThreadCount) {
   const auto suite = mini_suite();
-  PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;
+  const PipelineConfig cfg;
   PoolGuard guard(4);
   const auto first = reports(run_suite_generate_and_compact(suite, cfg));
   const auto second = reports(run_suite_generate_and_compact(suite, cfg));
@@ -134,7 +132,6 @@ TEST(PipelineDeterminism, FormattedReportsIdenticalAcrossThreadCounts) {
   // sequence as the paper-style table and compare the full strings.
   const auto suite = mini_suite();
   PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;
   cfg.run_baseline = false;
 
   const auto render = [&](const std::vector<GenerateCompactReport>& reports) {

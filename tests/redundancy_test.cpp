@@ -7,6 +7,7 @@
 #include "sim/fault_sim.hpp"
 #include "atpg/seq_atpg.hpp"
 #include "workloads/circuits.hpp"
+#include "workloads/suite.hpp"
 
 namespace uniscan {
 namespace {
@@ -68,86 +69,73 @@ TEST(Redundancy, TestableClaimsNeverContradictDetection) {
   }
 }
 
+TEST(Redundancy, ClassifierAgreesWithGeneratorProofs) {
+  // The generator's last-chance pass and classify_faults run the same SAT
+  // proof (window 1, assignable state, same budget): the classifier finds
+  // exactly as many redundant faults among those the generator left
+  // undetected as the generator proved, and never calls a detected fault
+  // Redundant.
+  const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("b01")));
+  const FaultList fl = FaultList::collapsed(sc.netlist);
+  const AtpgResult atpg = generate_tests(sc, fl, {});
+  const RedundancyReport r = classify_faults(sc, fl.faults());
+  ASSERT_GT(atpg.proved_redundant, 0u);
+  std::size_t undetected_redundant = 0;
+  for (std::size_t i = 0; i < fl.size(); ++i) {
+    if (atpg.detection[i].detected)
+      EXPECT_NE(r.classes[i], FaultClass::Redundant) << fault_to_string(sc.netlist, fl[i]);
+    else if (r.classes[i] == FaultClass::Redundant)
+      ++undetected_redundant;
+  }
+  EXPECT_EQ(undetected_redundant, atpg.proved_redundant);
+}
+
 TEST(Redundancy, TinyBudgetAborts) {
   const ScanCircuit sc = insert_scan(redundant_circuit());
   const Netlist& nl = sc.netlist;
   const Fault f{*nl.find("g"), kStemPin, true};
   RedundancyOptions opt;
-  opt.max_backtracks = 0;
+  opt.sat_max_conflicts = 0;
   const Fault faults[1] = {f};
   const RedundancyReport r = classify_faults(sc, faults, opt);
-  // With no budget the proof cannot complete... unless the very first
-  // objective scan already exhausts (possible for unactivatable faults).
+  // With no conflict budget the proof cannot complete... unless unit
+  // propagation alone refutes the miter (possible for unactivatable faults).
   EXPECT_EQ(r.testable, 0u);
   EXPECT_EQ(r.redundant + r.aborted, 1u);
 }
 
-// ---- SAT second chance (DESIGN.md §5l) --------------------------------------
-
-TEST(Redundancy, SatSecondChanceSettlesAbortedFaults) {
-  // Starve PODEM completely (max_backtracks = 0) so every classification
-  // either finishes on the first objective scan or lands in Aborted; the
-  // SAT pass must then settle every survivor into the two PROVED classes:
-  // Detected/Testable (replayed through the fault simulator) or
-  // Redundant(proved) — never a lingering Aborted on this tiny circuit.
+TEST(Redundancy, SatSummaryAccountsForEveryVerdict) {
+  // Every fault of this tiny circuit settles into one of the two PROVED
+  // classes: Testable (replayed through the fault simulator) or
+  // Redundant(proved) — never a lingering Aborted — and the summary records
+  // what the solver did for each.
   const ScanCircuit sc = insert_scan(redundant_circuit());
   const Netlist& nl = sc.netlist;
   const Fault f1{*nl.find("g"), kStemPin, true};   // redundant
   const Fault f0{*nl.find("g"), kStemPin, false};  // testable
   const Fault faults[2] = {f1, f0};
-  RedundancyOptions opt;
-  opt.max_backtracks = 0;
-  opt.sat_mode = SatMode::SecondChance;
-  const RedundancyReport r = classify_faults(sc, faults, opt);
+  const RedundancyReport r = classify_faults(sc, faults);
   EXPECT_EQ(r.classes[0], FaultClass::Redundant);
   EXPECT_EQ(r.classes[1], FaultClass::Testable);
   EXPECT_EQ(r.aborted, 0u);
-  // The summary records what SAT actually contributed.
-  EXPECT_GT(r.sat.attempts, 0u);
-  EXPECT_EQ(r.sat.proved_redundant + r.sat.detected, r.sat.attempts);
-  EXPECT_EQ(r.sat.mismatches, 0u);
-}
-
-TEST(Redundancy, SatCrossCheckConfirmsPodemProofs) {
-  // Full PODEM budget proves g s-a-1 redundant on its own; CrossCheck
-  // re-proves the claim with the solver and must find no disagreement.
-  const ScanCircuit sc = insert_scan(redundant_circuit());
-  const Fault f1{*sc.netlist.find("g"), kStemPin, true};
-  const Fault faults[1] = {f1};
-  RedundancyOptions opt;
-  opt.sat_mode = SatMode::CrossCheck;
-  const RedundancyReport r = classify_faults(sc, faults, opt);
-  EXPECT_EQ(r.classes[0], FaultClass::Redundant);
-  EXPECT_GT(r.sat.cross_checks, 0u);
+  EXPECT_EQ(r.sat.attempts, 2u);
+  EXPECT_EQ(r.sat.proved_redundant, r.redundant);
+  EXPECT_EQ(r.sat.detected, r.testable);
   EXPECT_EQ(r.sat.mismatches, 0u);
 }
 
 TEST(Redundancy, CancelledSatNeverReportsRedundant) {
-  // PR 4 invariant through the SAT path: with a pre-fired deadline the
-  // second-chance pass must not upgrade anything to Redundant — an aborted
-  // solve proves nothing, no matter how redundant the fault really is.
+  // PR 4 invariant through the SAT path: with a pre-fired deadline nothing
+  // may be upgraded to Redundant — an aborted solve proves nothing, no
+  // matter how redundant the fault really is.
   const ScanCircuit sc = insert_scan(redundant_circuit());
   const Fault f1{*sc.netlist.find("g"), kStemPin, true};
   const Fault faults[1] = {f1};
   RedundancyOptions opt;
-  opt.max_backtracks = 0;  // PODEM can't prove it either
-  opt.sat_mode = SatMode::SecondChance;
   opt.cancel = CancelToken(Deadline::after(0));
   const RedundancyReport r = classify_faults(sc, faults, opt);
   EXPECT_NE(r.classes[0], FaultClass::Redundant);
   EXPECT_EQ(r.sat.proved_redundant, 0u);
-}
-
-TEST(Redundancy, SatOffIsBitIdenticalToPodemOnly) {
-  // Off is the default and must not perturb the PODEM-only classification.
-  const ScanCircuit sc = insert_scan(make_s27());
-  const FaultList fl = FaultList::collapsed(sc.netlist);
-  const RedundancyReport base = classify_faults(sc, fl.faults());
-  RedundancyOptions off;
-  off.sat_mode = SatMode::Off;
-  const RedundancyReport again = classify_faults(sc, fl.faults(), off);
-  EXPECT_EQ(again.classes, base.classes);
-  EXPECT_FALSE(again.sat.any());
 }
 
 TEST(Redundancy, WiderWindowFindsSequentialTests) {

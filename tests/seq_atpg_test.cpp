@@ -1,10 +1,12 @@
 #include "atpg/seq_atpg.hpp"
+#include "atpg/transition_atpg.hpp"
 
 #include <gtest/gtest.h>
 
 #include "fault/fault_list.hpp"
 #include "sim/fault_sim.hpp"
 #include "workloads/circuits.hpp"
+#include "workloads/suite.hpp"
 #include "workloads/synth_gen.hpp"
 
 namespace uniscan {
@@ -73,6 +75,26 @@ TEST(SeqAtpg, ScanKnowledgeSwitchOff) {
   const AtpgResult b = generate_tests(sc, fl, without);
   EXPECT_EQ(b.detected_by_scan_knowledge, 0u);
   EXPECT_GE(a.detected, b.detected);
+}
+
+TEST(SeqAtpg, NoScanKnowledgeSkipsTheSatPass) {
+  // A SAT test is a scan-load test, so the ablation leaves forward PODEM
+  // only: no solver call, no redundancy proof, for either fault model.
+  const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("b01")));
+  AtpgOptions with, without;
+  without.use_scan_knowledge = false;
+  const FaultList fl = FaultList::collapsed(sc.netlist);
+  const auto tf = enumerate_transition_faults(sc.netlist);
+  const AtpgResult stuck = generate_tests(sc, fl, with);
+  const AtpgResult trans = generate_transition_tests(sc, tf, with);
+  EXPECT_GT(stuck.sat.attempts, 0u);
+  EXPECT_GT(trans.sat.attempts, 0u);
+  for (const AtpgResult& r :
+       {generate_tests(sc, fl, without), generate_transition_tests(sc, tf, without)}) {
+    EXPECT_EQ(r.sat.attempts, 0u);
+    EXPECT_EQ(r.proved_redundant, 0u);
+    EXPECT_EQ(r.stats.scan_load_assisted, 0u);
+  }
 }
 
 TEST(SeqAtpg, WorksOnSyntheticCircuit) {

@@ -55,6 +55,13 @@ TEST(StringUtils, ExcerptCapsLongInput) {
   EXPECT_EQ(excerpt("", 0), "");
 }
 
+TEST(StringUtils, JsonEscapeRendersQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+}
+
 TEST(FlagUint, AcceptsPlainDecimalUpToMax) {
   EXPECT_EQ(flag_uint("--seed=0"), 0u);
   EXPECT_EQ(flag_uint("--seed=7919"), 7919u);

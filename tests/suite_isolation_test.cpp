@@ -87,19 +87,6 @@ TEST_F(SuiteIsolation, WildcardStageKillsFirstStageOfTheCircuit) {
   EXPECT_EQ(rows[2].failure->stage, "load");  // the flow's first stage
 }
 
-TEST_F(SuiteIsolation, FailFastPropagatesTheStageError) {
-  const ScopedInjection poison("b01:faults");
-  PipelineConfig cfg;
-  cfg.fail_fast = true;
-  try {
-    run_suite_generate_and_compact(mini_suite(), cfg);
-    FAIL() << "expected StageError to escape under fail_fast";
-  } catch (const StageError& e) {
-    EXPECT_EQ(e.stage(), "faults");
-    EXPECT_NE(std::string(e.what()).find("b01"), std::string::npos);
-  }
-}
-
 TEST_F(SuiteIsolation, TranslateFlowIsolatesFailuresToo) {
   const ScopedInjection poison("b01:baseline");
   const auto rows = run_suite_translate_and_compact(mini_suite());

@@ -97,7 +97,6 @@ TEST_P(TransitionGenerator, ClaimsVerifyAndCompactionPreserves) {
 
   AtpgOptions opt;
   opt.seed = seed;
-  opt.final_effort_backtracks = 500;
   const TransitionAtpgResult r = generate_transition_tests(sc, faults, opt);
   EXPECT_GT(r.fault_coverage(), 75.0) << name;
 
