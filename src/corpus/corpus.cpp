@@ -10,7 +10,6 @@
 #include "util/sha256.hpp"
 #include "util/string_utils.hpp"
 #include "workloads/circuits.hpp"
-#include "workloads/synth_gen.hpp"
 
 #ifndef UNISCAN_CORPUS_SOURCE_DIR
 #define UNISCAN_CORPUS_SOURCE_DIR ""
@@ -128,7 +127,7 @@ bool CorpusRegistry::has_file(const CorpusEntry& e) const {
   return std::filesystem::exists(circuit_path(e));
 }
 
-std::string CorpusRegistry::synth_bench_text(const CorpusEntry& e) {
+SynthSpec CorpusRegistry::synth_spec(const CorpusEntry& e) {
   if (e.source != "synth")
     throw std::runtime_error("corpus circuit " + e.name + " has source '" + e.source +
                              "', not synth");
@@ -141,7 +140,11 @@ std::string CorpusRegistry::synth_bench_text(const CorpusEntry& e) {
   // load_circuit's synthetic fallback, namespaced for the corpus).
   spec.seed = 0x5eedc0de;
   for (char c : e.name) spec.seed = spec.seed * 131 + static_cast<unsigned char>(c);
-  const Netlist nl = generate_synthetic(spec);
+  return spec;
+}
+
+std::string CorpusRegistry::synth_bench_text(const CorpusEntry& e) {
+  const Netlist nl = generate_synthetic(synth_spec(e));
 
   std::ostringstream os;
   os << "# uniscan corpus stand-in for " << e.name << ": deterministic synthetic circuit with\n"
@@ -149,8 +152,7 @@ std::string CorpusRegistry::synth_bench_text(const CorpusEntry& e) {
      << e.num_gates << " gates). Replace with the canonical benchmark via\n"
      << "# tools/fetch_corpus; regenerate byte-identically via `corpus_tool synth " << e.name
      << "`.\n";
-  write_bench(os, nl);
-  return os.str();
+  return os.str() + write_bench_string(nl);
 }
 
 std::string CorpusRegistry::bench_text(const CorpusEntry& e, bool verify) const {

@@ -31,6 +31,7 @@
 
 #include "netlist/netlist.hpp"
 #include "workloads/suite.hpp"
+#include "workloads/synth_gen.hpp"
 
 namespace uniscan {
 
@@ -92,6 +93,10 @@ class CorpusRegistry {
   /// (PI/FF/gate counts) and stable across builds, so its hash can be pinned
   /// in the manifest. Byte-identical to what `corpus_tool synth` writes.
   static std::string synth_bench_text(const CorpusEntry& e);
+
+  /// The generator spec behind synth_bench_text: the row's profile and a
+  /// seed derived from its name. Throws for a row that is not synth.
+  static SynthSpec synth_spec(const CorpusEntry& e);
 
   /// Corpus rows as suite entries (tier filter optional), ready for the
   /// table binaries' pipeline runners. Every row carries its circuit path +

@@ -1,7 +1,6 @@
 #include "fault/fault_list.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "obs/counters.hpp"
@@ -43,23 +42,32 @@ struct Enumeration {
   std::vector<Line> lines;
   // line index of the stem of gate g
   std::vector<std::size_t> stem_of;
-  // line index of branch (g, pin), or npos if the branch is folded into its stem
-  std::map<std::pair<GateId, std::int16_t>, std::size_t> branch_of;
+  // branch_of[pin_base[g] + p]: line index of branch (g, p), or kFolded if
+  // the branch is folded into its driver's stem
+  std::vector<std::size_t> pin_base;
+  std::vector<std::size_t> branch_of;
 };
+
+constexpr std::size_t kFolded = static_cast<std::size_t>(-1);
 
 Enumeration enumerate_lines(const Netlist& nl, bool fold_single_fanout_branches) {
   Enumeration e;
-  e.stem_of.assign(nl.num_gates(), 0);
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
+  const std::size_t n = nl.num_gates();
+  e.stem_of.resize(n);
+  e.pin_base.resize(n + 1);
+  for (GateId g = 0; g < n; ++g) e.pin_base[g + 1] = e.pin_base[g] + nl.gate(g).fanins.size();
+  e.lines.reserve(n + e.pin_base[n]);
+  for (GateId g = 0; g < n; ++g) {
     e.stem_of[g] = e.lines.size();
     e.lines.push_back(Line{g, kStemPin});
   }
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
+  e.branch_of.assign(e.pin_base[n], kFolded);
+  for (GateId g = 0; g < n; ++g) {
     const Gate& gate = nl.gate(g);
     for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
       const GateId driver = gate.fanins[p];
       if (fold_single_fanout_branches && nl.fanout_count(driver) == 1) continue;
-      e.branch_of[{g, static_cast<std::int16_t>(p)}] = e.lines.size();
+      e.branch_of[e.pin_base[g] + p] = e.lines.size();
       e.lines.push_back(Line{g, static_cast<std::int16_t>(p)});
     }
   }
@@ -93,8 +101,8 @@ FaultList FaultList::collapsed(const Netlist& nl) {
   // Helper: fault slot of the line feeding pin p of gate g. If the branch
   // was folded (single fanout), that is the driver's stem.
   const auto input_slot = [&](GateId g, std::size_t p, bool stuck_one) {
-    const auto it = e.branch_of.find({g, static_cast<std::int16_t>(p)});
-    if (it != e.branch_of.end()) return slot(it->second, stuck_one);
+    const std::size_t branch = e.branch_of[e.pin_base[g] + p];
+    if (branch != kFolded) return slot(branch, stuck_one);
     return slot(e.stem_of[nl.gate(g).fanins[p]], stuck_one);
   };
 
@@ -131,11 +139,7 @@ FaultList FaultList::collapsed(const Netlist& nl) {
 
   // One representative per class: the one whose root it is (smallest slot).
   FaultList fl;
-  fl.uncollapsed_count_ = 2 * (nl.num_gates() + [&] {
-    std::size_t pins = 0;
-    for (GateId g = 0; g < nl.num_gates(); ++g) pins += nl.gate(g).fanins.size();
-    return pins;
-  }());
+  fl.uncollapsed_count_ = 2 * (nl.num_gates() + e.pin_base.back());
   for (std::size_t s = 0; s < num_slots; ++s) {
     if (uf.find(s) != s) continue;
     const Line& line = e.lines[s / 2];

@@ -29,7 +29,8 @@ namespace uniscan {
 /// originating `source` — typically a file path — when one is given) on
 /// malformed input. Lines may end in CRLF or trailing whitespace; echoed
 /// fragments of bad lines are capped so a corrupt file cannot explode the
-/// diagnostic. The returned netlist is finalized.
+/// diagnostic. The returned netlist is finalized. read_bench reads the whole
+/// stream and parses it as read_bench_string does, with the same diagnostics.
 Netlist read_bench(std::istream& in, std::string circuit_name, const std::string& source = {});
 Netlist read_bench_string(std::string_view text, std::string circuit_name,
                           const std::string& source = {});

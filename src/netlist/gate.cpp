@@ -1,5 +1,7 @@
 #include "netlist/gate.hpp"
 
+#include <utility>
+
 #include "util/string_utils.hpp"
 
 namespace uniscan {
@@ -24,21 +26,20 @@ std::string_view gate_type_name(GateType type) noexcept {
 }
 
 bool parse_gate_type(std::string_view keyword, GateType& out) noexcept {
-  const std::string k = to_upper(keyword);
-  if (k == "DFF") out = GateType::Dff;
-  else if (k == "BUF" || k == "BUFF") out = GateType::Buf;
-  else if (k == "NOT" || k == "INV") out = GateType::Not;
-  else if (k == "AND") out = GateType::And;
-  else if (k == "NAND") out = GateType::Nand;
-  else if (k == "OR") out = GateType::Or;
-  else if (k == "NOR") out = GateType::Nor;
-  else if (k == "XOR") out = GateType::Xor;
-  else if (k == "XNOR") out = GateType::Xnor;
-  else if (k == "MUX") out = GateType::Mux2;
-  else if (k == "CONST0") out = GateType::Const0;
-  else if (k == "CONST1") out = GateType::Const1;
-  else return false;
-  return true;
+  static constexpr std::pair<std::string_view, GateType> kKeywords[] = {
+      {"DFF", GateType::Dff},   {"BUF", GateType::Buf},       {"BUFF", GateType::Buf},
+      {"NOT", GateType::Not},   {"INV", GateType::Not},       {"AND", GateType::And},
+      {"NAND", GateType::Nand}, {"OR", GateType::Or},         {"NOR", GateType::Nor},
+      {"XOR", GateType::Xor},   {"XNOR", GateType::Xnor},     {"MUX", GateType::Mux2},
+      {"CONST0", GateType::Const0}, {"CONST1", GateType::Const1},
+  };
+  for (const auto& [name, type] : kKeywords) {
+    if (iequals(keyword, name)) {
+      out = type;
+      return true;
+    }
+  }
+  return false;
 }
 
 int gate_type_arity(GateType type) noexcept {

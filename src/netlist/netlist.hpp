@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/gate.hpp"
@@ -31,6 +30,10 @@ class Netlist {
 
   // ---- construction -------------------------------------------------------
 
+  /// Make room for `num_gates` gates in total, so building a netlist of
+  /// known size never regrows the gate table or rehashes the name index.
+  void reserve(std::size_t num_gates);
+
   /// Add a primary input. Returns its gate id.
   GateId add_input(std::string net_name);
 
@@ -42,6 +45,10 @@ class Netlist {
 
   /// Declare `g` a primary output. A gate may be declared a PO at most once.
   void add_output(GateId g);
+
+  /// An unfinalized copy under `new_name`: same gates, ids, PIs, POs, DFFs
+  /// and name index, ready for further construction (scan insertion).
+  Netlist editable_copy(std::string new_name) const;
 
   /// Connect/replace the D input of flip-flop `dff`.
   void set_dff_input(GateId dff, GateId d);
@@ -81,7 +88,7 @@ class Netlist {
 
   /// Fanout degree of a gate (CompiledNetlist::fanouts() is the canonical
   /// CSR adjacency for traversal). Only valid after finalize().
-  std::size_t fanout_count(GateId g) const { return fanouts_[g].size(); }
+  std::size_t fanout_count(GateId g) const { return fanout_off_[g + 1] - fanout_off_[g]; }
 
   /// Lookup a gate id by net name.
   std::optional<GateId> find(std::string_view net_name) const;
@@ -122,6 +129,23 @@ class Netlist {
     mutable std::mutex mutex;
     mutable std::shared_ptr<const CompiledNetlist> ptr;
   };
+  static constexpr std::uint32_t kNoIndex = 0xffffffffU;
+
+  // Net-name index: open addressing with linear probing over (hash tag,
+  // gate id) slots, the names themselves living in gates_. A power-of-two
+  // table kept at most half full. It copies as one flat array, a lookup
+  // takes a string_view without building a std::string, and a probe
+  // compares names only where the 32-bit tags match.
+  struct NameSlot {
+    std::uint32_t tag = 0;
+    GateId id = kNoGate;
+  };
+  static std::uint32_t name_tag(std::string_view name) noexcept;
+  /// Index of the slot holding `name`, or of the empty slot it would take.
+  std::size_t probe(std::string_view name, std::uint32_t tag) const noexcept;
+  /// Rebuild the index with at least `min_slots` slots.
+  void grow_names(std::size_t min_slots);
+
   GateId add_raw(GateType type, std::string net_name, std::vector<GateId> fanins);
   void check_not_finalized(const char* op) const;
 
@@ -130,12 +154,15 @@ class Netlist {
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
   std::vector<GateId> dffs_;
-  std::unordered_map<std::string, GateId> by_name_;
+  // Per gate: position among outputs_ / dffs_, or kNoIndex.
+  std::vector<std::uint32_t> output_index_;
+  std::vector<std::uint32_t> dff_index_;
+  std::vector<NameSlot> by_name_;
 
   bool finalized_ = false;
   std::vector<GateId> topo_;
   std::vector<std::uint32_t> levels_;
-  std::vector<std::vector<GateId>> fanouts_;
+  std::vector<std::uint32_t> fanout_off_;  // per gate + 1: prefix sum of fanout degrees
   CompiledSlot compiled_slot_;
 };
 

@@ -19,25 +19,9 @@ ScanCircuit insert_scan(const Netlist& c, std::size_t num_chains) {
   if (num_chains == 0 || num_chains > c.num_dffs())
     throw std::invalid_argument("insert_scan: bad chain count");
 
-  Netlist out(c.name() + "_scan");
-
-  // Copy all gates in id order so that new ids equal old ids. Fanins may
-  // reference gates not yet copied; that is fine because ids are stable.
-  for (GateId g = 0; g < c.num_gates(); ++g) {
-    const Gate& gate = c.gate(g);
-    switch (gate.type) {
-      case GateType::Input:
-        out.add_input(gate.name);
-        break;
-      case GateType::Dff:
-        out.add_dff(gate.name, gate.fanins[0]);
-        break;
-      default:
-        out.add_gate(gate.type, gate.name, gate.fanins);
-        break;
-    }
-  }
-  for (GateId po : c.outputs()) out.add_output(po);
+  // Same gates, ids, PIs, POs and name index as `c`, copied in bulk; the
+  // scan nets are appended after them.
+  Netlist out = c.editable_copy(c.name() + "_scan");
 
   ScanNets nets;
   const GateId scan_sel = out.add_input("scan_sel");

@@ -159,38 +159,50 @@ void TransitionModel::Injector<Word>::init_state(SimBatchStateT<Word>& s) const 
 }
 
 template <class Word>
+void TransitionModel::Injector<Word>::bind(const CompiledNetlist& cnl,
+                                          std::span<const GateId> forced) {
+  pin_off_.assign(forced.size() + 1, 0);
+  for (std::size_t k = 0; k < forced.size(); ++k)
+    pin_off_[k + 1] = pin_off_[k] + static_cast<std::uint32_t>(cnl.fanin_count(forced[k]));
+  pin_head_.assign(pin_off_.back(), kNone);
+  pin_next_.assign(faults_.size(), kNone);
+  for (std::size_t k = 0; k < forced.size(); ++k)
+    for (std::int32_t i = branch_head_[forced[k]]; i != kNone; i = next_[i]) {
+      std::int32_t& head = pin_head_[pin_off_[k] + static_cast<std::uint32_t>(faults_[i].pin)];
+      pin_next_[i] = head;
+      head = i;
+    }
+}
+
+template <class Word>
+inline void TransitionModel::Injector<Word>::inject(std::int32_t i, W& w,
+                                                    SimBatchStateT<Word>& s) const {
+  const unsigned slot = static_cast<unsigned>(i + 1);
+  const V3 now = w.get(slot);
+  w.set(slot, delayed_value(faults_[i].slow_to_rise, now, s.prev_driven[i]));
+  pending_[i] = now;
+}
+
+template <class Word>
 void TransitionModel::Injector<Word>::patch(GateId g, W& w, SimBatchStateT<Word>& s) const {
-  for (std::int32_t i = stem_head_[g]; i != kNone; i = next_[i]) {
-    const unsigned slot = static_cast<unsigned>(i + 1);
-    const V3 now = w.get(slot);
-    w.set(slot, delayed_value(faults_[i].slow_to_rise, now, s.prev_driven[i]));
-    pending_[i] = now;
-  }
+  for (std::int32_t i = stem_head_[g]; i != kNone; i = next_[i]) inject(i, w, s);
 }
 
 template <class Word>
-inline void TransitionModel::Injector<Word>::apply_branches(GateId g, W* pins, std::size_t n,
-                                                            SimBatchStateT<Word>& s) const {
-  for (std::int32_t i = branch_head_[g]; i != kNone; i = next_[i]) {
-    const TransitionFault& f = faults_[i];
-    const std::size_t p = static_cast<std::size_t>(f.pin);
-    if (p >= n) continue;
-    const unsigned slot = static_cast<unsigned>(i + 1);
-    const V3 now = pins[p].get(slot);
-    pins[p].set(slot, delayed_value(f.slow_to_rise, now, s.prev_driven[i]));
-    pending_[i] = now;
-  }
-}
-
-template <class Word>
-inline W3T<Word> TransitionModel::Injector<Word>::eval_forced(std::size_t, GateId g,
+inline W3T<Word> TransitionModel::Injector<Word>::eval_forced(std::size_t k, GateId g,
                                                               const W* values,
                                                               SimBatchStateT<Word>& s) const {
+  // Fanins stream straight into the gate evaluation, as in the stuck-at
+  // injector; a pin's branch faults are applied as that pin is read, so
+  // every pending_ entry of the gate is refreshed exactly once.
   const auto fan = cnl_->fanins(g);
-  W buf[64];
-  for (std::size_t p = 0; p < fan.size(); ++p) buf[p] = values[fan[p]];
-  apply_branches(g, buf, fan.size(), s);
-  W w = eval_gate_w3(cnl_->type(g), buf, fan.size());
+  const std::int32_t* head = pin_head_.data() + pin_off_[k];
+  const auto in = [&](std::size_t p) {
+    W w = values[fan[p]];
+    for (std::int32_t i = head[p]; i != kNone; i = pin_next_[i]) inject(i, w, s);
+    return w;
+  };
+  W w = eval_gate_w3<Word>(cnl_->type(g), fan.size(), in);
   if (has_stem(g)) patch(g, w, s);
   return w;
 }
@@ -198,7 +210,8 @@ inline W3T<Word> TransitionModel::Injector<Word>::eval_forced(std::size_t, GateI
 template <class Word>
 W3T<Word> TransitionModel::Injector<Word>::dff_input(std::size_t, GateId ff, W d,
                                                      SimBatchStateT<Word>& s) const {
-  if (has_branch(ff)) apply_branches(ff, &d, 1, s);
+  // A DFF's only pin is its D pin: every branch fault on it sits there.
+  for (std::int32_t i = branch_head_[ff]; i != kNone; i = next_[i]) inject(i, d, s);
   return d;
 }
 

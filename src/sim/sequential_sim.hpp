@@ -66,35 +66,40 @@ class SequentialSimulator {
 /// Evaluate a single gate over scalar V3 fanin values.
 V3 eval_gate_v3(GateType type, const V3* in, std::size_t n) noexcept;
 
-/// Evaluate a single gate over word-parallel W3T fanin values (any width).
-template <class Word>
-W3T<Word> eval_gate_w3(GateType type, const W3T<Word>* in, std::size_t n) noexcept {
+/// Evaluate a single gate over word-parallel W3T values (any width) of its
+/// `n` pins, read through `in(p)`: each pin once, in pin order. The fault
+/// injectors stream fanins this way and apply a pin fault as its pin is read.
+template <class Word, class In>
+[[gnu::always_inline]] inline W3T<Word> eval_gate_w3(GateType type, std::size_t n, In&& in) {
   using W = W3T<Word>;
   switch (type) {
     case GateType::Buf:
-      return in[0];
+      return in(0);
     case GateType::Not:
-      return w3_not(in[0]);
+      return w3_not(in(0));
     case GateType::And:
     case GateType::Nand: {
-      W acc = in[0];
-      for (std::size_t i = 1; i < n; ++i) acc = w3_and(acc, in[i]);
+      W acc = in(0);
+      for (std::size_t i = 1; i < n; ++i) acc = w3_and(acc, in(i));
       return type == GateType::Nand ? w3_not(acc) : acc;
     }
     case GateType::Or:
     case GateType::Nor: {
-      W acc = in[0];
-      for (std::size_t i = 1; i < n; ++i) acc = w3_or(acc, in[i]);
+      W acc = in(0);
+      for (std::size_t i = 1; i < n; ++i) acc = w3_or(acc, in(i));
       return type == GateType::Nor ? w3_not(acc) : acc;
     }
     case GateType::Xor:
     case GateType::Xnor: {
-      W acc = in[0];
-      for (std::size_t i = 1; i < n; ++i) acc = w3_xor(acc, in[i]);
+      W acc = in(0);
+      for (std::size_t i = 1; i < n; ++i) acc = w3_xor(acc, in(i));
       return type == GateType::Xnor ? w3_not(acc) : acc;
     }
-    case GateType::Mux2:
-      return w3_mux(in[0], in[1], in[2]);
+    case GateType::Mux2: {
+      const W d0 = in(0);
+      const W d1 = in(1);
+      return w3_mux(d0, d1, in(2));
+    }
     case GateType::Const0:
       return W::all_zero();
     case GateType::Const1:

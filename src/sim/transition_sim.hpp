@@ -38,7 +38,8 @@ struct TransitionModel {
     using W = W3T<Word>;
 
     Injector(const CompiledNetlist& cnl, std::span<const TransitionFault> faults);
-    void bind(const CompiledNetlist&, std::span<const GateId>) noexcept {}
+    /// Build the per-pin fault chains of the individually evaluated gates.
+    void bind(const CompiledNetlist& cnl, std::span<const GateId> forced);
 
     bool has_stem(GateId g) const noexcept { return stem_head_[g] != kNone; }
     bool has_branch(GateId g) const noexcept { return branch_head_[g] != kNone; }
@@ -62,9 +63,9 @@ struct TransitionModel {
    private:
     static constexpr std::int32_t kNone = -1;
 
-    /// Apply g's branch faults on pins < n of `pins` (in place).
-    [[gnu::always_inline]] void apply_branches(GateId g, W* pins, std::size_t n,
-                                               SimBatchStateT<Word>& s) const;
+    /// Force fault i's delayed value onto its slot of `w` (the value its
+    /// line drives now) and record the launch value.
+    [[gnu::always_inline]] void inject(std::int32_t i, W& w, SimBatchStateT<Word>& s) const;
 
     const CompiledNetlist* cnl_;
     std::span<const TransitionFault> faults_;
@@ -73,6 +74,11 @@ struct TransitionModel {
     std::vector<std::int32_t> stem_head_;    // per gate -> fault index
     std::vector<std::int32_t> branch_head_;  // per gate -> fault index
     std::vector<std::int32_t> next_;         // per fault, shared by both chains
+    // Branch faults of the forced gates re-chained per pin: pin_head_ is
+    // indexed pin_off_[k] + pin for forced gate k, pin_next_ by fault.
+    std::vector<std::uint32_t> pin_off_;
+    std::vector<std::int32_t> pin_head_;
+    std::vector<std::int32_t> pin_next_;
     // Per-fault launch value captured while evaluating the current frame,
     // committed into SimBatchStateT::prev_driven at frame end. Scratch: a
     // runner is used by one thread at a time.

@@ -1,6 +1,5 @@
 #include "util/string_utils.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -8,34 +7,36 @@
 
 namespace uniscan {
 
+namespace {
+
+/// std::isspace and std::toupper in the "C" locale, without the libc call
+/// per character (the .bench parser runs these over every byte it reads).
+constexpr bool ascii_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+constexpr char ascii_upper(char c) noexcept {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+}  // namespace
+
 std::string_view trim(std::string_view s) noexcept {
   std::size_t begin = 0;
   std::size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
+  while (begin < end && ascii_space(s[begin])) ++begin;
+  while (end > begin && ascii_space(s[end - 1])) --end;
   return s.substr(begin, end - begin);
-}
-
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(trim(s.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
+bool iequals(std::string_view s, std::string_view upper) noexcept {
+  if (s.size() != upper.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i)
+    if (ascii_upper(s[i]) != upper[i]) return false;
+  return true;
 }
 
 std::string numbered(std::string_view prefix, std::uint64_t n) {

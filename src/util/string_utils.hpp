@@ -6,23 +6,18 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace uniscan {
 
 /// Strip leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s) noexcept;
 
-/// Split on a single-character delimiter; elements are trimmed.
-/// Empty elements (after trimming) are kept so callers can detect syntax
-/// errors such as "AND(a,,b)".
-std::vector<std::string> split(std::string_view s, char delim);
-
 /// True if `s` starts with `prefix` (case-sensitive).
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-/// Uppercase ASCII copy.
-std::string to_upper(std::string_view s);
+/// True if `s` equals `upper` ignoring ASCII case; `upper` is upper-case
+/// ("nAnD" matches "NAND"). Compares in place, without a folded copy.
+bool iequals(std::string_view s, std::string_view upper) noexcept;
 
 /// `prefix` followed by the decimal `n` ("I", 3 -> "I3"). Appends rather
 /// than writing `"I" + std::to_string(n)`, whose inlined insert GCC 12

@@ -1,5 +1,7 @@
 #include "workloads/synth_gen.hpp"
 
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -11,76 +13,104 @@ namespace uniscan {
 namespace {
 
 /// Working representation while the circuit is being shaped: gate i reads
-/// from `fanins[i]`, where ids < num_leaves refer to PIs/FF outputs and ids
-/// >= num_leaves refer to earlier gates.
+/// from `fanins(i)`, where ids < num_leaves refer to PIs/FF outputs and ids
+/// >= num_leaves refer to earlier gates. Fanin lists are one flat array
+/// (CSR): gate i's run is [fanin_off[i], fanin_off[i + 1]).
 struct Draft {
   std::size_t num_leaves = 0;  // PIs + FFs
   std::vector<GateType> types;
-  std::vector<std::vector<std::size_t>> fanins;
+  std::vector<std::uint32_t> fanin_off{0};
+  std::vector<std::uint32_t> fanin_ids;
+
+  std::span<std::uint32_t> fanins(std::size_t g) {
+    return {fanin_ids.data() + fanin_off[g], fanin_ids.data() + fanin_off[g + 1]};
+  }
+  std::span<const std::uint32_t> fanins(std::size_t g) const {
+    return {fanin_ids.data() + fanin_off[g], fanin_ids.data() + fanin_off[g + 1]};
+  }
 };
 
-std::uint64_t eval_draft_gate(GateType t, const std::vector<std::uint64_t>& in) {
-  std::uint64_t acc = in[0];
-  switch (t) {
-    case GateType::Buf: return acc;
-    case GateType::Not: return ~acc;
-    case GateType::And:
-    case GateType::Nand:
-      for (std::size_t i = 1; i < in.size(); ++i) acc &= in[i];
-      return t == GateType::Nand ? ~acc : acc;
-    case GateType::Or:
-    case GateType::Nor:
-      for (std::size_t i = 1; i < in.size(); ++i) acc |= in[i];
-      return t == GateType::Nor ? ~acc : acc;
-    case GateType::Xor:
-    case GateType::Xnor:
-      for (std::size_t i = 1; i < in.size(); ++i) acc ^= in[i];
-      return t == GateType::Xnor ? ~acc : acc;
-    default: return acc;
-  }
+/// Rounds of the toggle profile; each signal holds one word per round, so a
+/// signal's words fill one cache line and all rounds evaluate in one pass.
+constexpr std::size_t kRounds = 8;
+struct alignas(64) RoundWords {
+  std::uint64_t w[kRounds];
+};
+
+/// `acc` op= `in`, round by round.
+template <class Op>
+void combine(RoundWords& acc, const RoundWords& in, Op op) {
+  for (std::size_t r = 0; r < kRounds; ++r) acc.w[r] = op(acc.w[r], in.w[r]);
 }
 
-/// 64-way random-pattern toggle profile. Leaves (PIs and FF outputs) get
-/// fresh random words each round — the full controllability a scan chain
-/// provides. Returns per-gate (saw0, saw1) flags.
-void toggle_profile(const Draft& d, Rng& rng, int rounds, std::vector<std::uint8_t>& saw0,
-                    std::vector<std::uint8_t>& saw1) {
+/// 64-way random-pattern toggle profile over kRounds rounds. Leaves (PIs and
+/// FF outputs) get fresh random words each round — the full controllability
+/// a scan chain provides; all leaf words are drawn up front, round by round,
+/// in the order a round-at-a-time evaluation would draw them. Returns
+/// per-gate flags: 1 when the gate saw both a 0 and a 1.
+std::vector<std::uint8_t> toggle_profile(const Draft& d, Rng& rng,
+                                         std::vector<RoundWords>& values) {
   const std::size_t n = d.types.size();
-  saw0.assign(n, 0);
-  saw1.assign(n, 0);
-  std::vector<std::uint64_t> values(d.num_leaves + n);
-  std::vector<std::uint64_t> in;
-  for (int r = 0; r < rounds; ++r) {
-    for (std::size_t i = 0; i < d.num_leaves; ++i) values[i] = rng.next();
-    for (std::size_t g = 0; g < n; ++g) {
-      in.clear();
-      for (std::size_t f : d.fanins[g]) in.push_back(values[f]);
-      const std::uint64_t v = eval_draft_gate(d.types[g], in);
-      values[d.num_leaves + g] = v;
-      if (v != ~0ULL) saw0[g] = 1;
-      if (v != 0) saw1[g] = 1;
+  values.resize(d.num_leaves + n);
+  for (std::size_t r = 0; r < kRounds; ++r)
+    for (std::size_t i = 0; i < d.num_leaves; ++i) values[i].w[r] = rng.next();
+
+  std::vector<std::uint8_t> toggled(n, 0);
+  for (std::size_t g = 0; g < n; ++g) {
+    const auto fan = d.fanins(g);
+    RoundWords acc = values[fan[0]];
+    const GateType t = d.types[g];
+    bool invert = false;
+    switch (t) {
+      case GateType::Not: invert = true; break;
+      case GateType::And:
+      case GateType::Nand:
+        for (std::size_t i = 1; i < fan.size(); ++i) combine(acc, values[fan[i]], std::bit_and<>{});
+        invert = t == GateType::Nand;
+        break;
+      case GateType::Or:
+      case GateType::Nor:
+        for (std::size_t i = 1; i < fan.size(); ++i) combine(acc, values[fan[i]], std::bit_or<>{});
+        invert = t == GateType::Nor;
+        break;
+      case GateType::Xor:
+      case GateType::Xnor:
+        for (std::size_t i = 1; i < fan.size(); ++i) combine(acc, values[fan[i]], std::bit_xor<>{});
+        invert = t == GateType::Xnor;
+        break;
+      default: break;  // BUF (and anything else) passes pin 0 through
     }
+    bool saw0 = false, saw1 = false;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      if (invert) acc.w[r] = ~acc.w[r];
+      saw0 |= acc.w[r] != ~0ULL;
+      saw1 |= acc.w[r] != 0;
+    }
+    values[d.num_leaves + g] = acc;
+    toggled[g] = saw0 && saw1;
   }
+  return toggled;
 }
 
 /// Rewrite gates that never toggled: parity functions of independent signals
 /// are essentially never constant, so stuck gates become XOR/XNOR (or NOT
 /// for single-input ones) and get a fresh pin-0 source.
 void repair_constants(Draft& d, Rng& rng) {
-  std::vector<std::uint8_t> saw0, saw1;
+  std::vector<RoundWords> values;  // scratch of toggle_profile, reused each round
   for (int round = 0; round < 6; ++round) {
-    toggle_profile(d, rng, 8, saw0, saw1);
+    const std::vector<std::uint8_t> toggled = toggle_profile(d, rng, values);
     bool any = false;
     for (std::size_t g = 0; g < d.types.size(); ++g) {
-      if (saw0[g] && saw1[g]) continue;
+      if (toggled[g]) continue;
       any = true;
-      if (d.fanins[g].size() == 1) {
+      const auto fan = d.fanins(g);
+      if (fan.size() == 1) {
         d.types[g] = GateType::Buf;
         // Re-source from a random earlier signal.
-        d.fanins[g][0] = rng.next_below(d.num_leaves + g);
+        fan[0] = static_cast<std::uint32_t>(rng.next_below(d.num_leaves + g));
       } else {
         d.types[g] = rng.next_bool() ? GateType::Xor : GateType::Xnor;
-        d.fanins[g][0] = rng.next_below(d.num_leaves + g);
+        fan[0] = static_cast<std::uint32_t>(rng.next_below(d.num_leaves + g));
       }
     }
     if (!any) break;
@@ -133,14 +163,17 @@ Netlist generate_synthetic(const SynthSpec& spec) {
     return rng.next_below(limit);
   };
 
+  d.types.reserve(num_gates);
+  d.fanin_off.reserve(num_gates + 1);
+  std::vector<std::uint32_t> fanins;
   for (std::size_t i = 0; i < num_gates; ++i) {
     GateType t = pick_type(rng);
     const std::size_t arity = pick_arity(t, rng);
-    std::vector<std::size_t> fanins;
+    fanins.clear();
 
     // Guarantee consumption: the first num_inputs gates each consume a
     // distinct PI; the next num_dffs gates each consume a distinct FF.
-    if (i < d.num_leaves) fanins.push_back(i);
+    if (i < d.num_leaves) fanins.push_back(static_cast<std::uint32_t>(i));
 
     // Reject candidates directly related to an already chosen signal:
     // one-hop reconvergence like AND(x, NOR(x, y)) creates constant nodes
@@ -148,10 +181,10 @@ Netlist generate_synthetic(const SynthSpec& spec) {
     const auto related = [&](std::size_t a, std::size_t b) {
       if (a == b) return true;
       if (a >= d.num_leaves)
-        for (std::size_t fi : d.fanins[a - d.num_leaves])
+        for (std::size_t fi : d.fanins(a - d.num_leaves))
           if (fi == b) return true;
       if (b >= d.num_leaves)
-        for (std::size_t fi : d.fanins[b - d.num_leaves])
+        for (std::size_t fi : d.fanins(b - d.num_leaves))
           if (fi == a) return true;
       return false;
     };
@@ -159,14 +192,16 @@ Netlist generate_synthetic(const SynthSpec& spec) {
       const std::size_t cand = pick_fanin(i);
       bool bad = false;
       for (std::size_t f : fanins) bad |= related(f, cand);
-      if (!bad) fanins.push_back(cand);
+      if (!bad) fanins.push_back(static_cast<std::uint32_t>(cand));
     }
-    if (fanins.empty()) fanins.push_back(rng.next_below(d.num_leaves + i));
+    if (fanins.empty())
+      fanins.push_back(static_cast<std::uint32_t>(rng.next_below(d.num_leaves + i)));
     if (fanins.size() == 1 && t != GateType::Not && t != GateType::Buf)
       t = rng.next_bool() ? GateType::Not : GateType::Buf;
 
     d.types.push_back(t);
-    d.fanins.push_back(std::move(fanins));
+    d.fanin_ids.insert(d.fanin_ids.end(), fanins.begin(), fanins.end());
+    d.fanin_off.push_back(static_cast<std::uint32_t>(d.fanin_ids.size()));
   }
 
   // Remove constant nodes (the dominant source of redundant faults).
@@ -174,7 +209,9 @@ Netlist generate_synthetic(const SynthSpec& spec) {
 
   // Materialize the netlist.
   Netlist nl(spec.name);
+  nl.reserve(d.num_leaves + d.types.size());
   std::vector<GateId> ids;  // draft signal id -> netlist gate id
+  ids.reserve(d.num_leaves + d.types.size());
   for (std::size_t i = 0; i < spec.num_inputs; ++i)
     ids.push_back(nl.add_input(numbered("I", i)));
   std::vector<GateId> ffs;
@@ -183,9 +220,9 @@ Netlist generate_synthetic(const SynthSpec& spec) {
     ids.push_back(ffs.back());
   }
   for (std::size_t g = 0; g < d.types.size(); ++g) {
-    std::vector<GateId> fanins;
-    for (std::size_t f : d.fanins[g]) fanins.push_back(ids[f]);
-    ids.push_back(nl.add_gate(d.types[g], numbered("g", g), std::move(fanins)));
+    std::vector<GateId> gate_fanins;
+    for (std::size_t f : d.fanins(g)) gate_fanins.push_back(ids[f]);
+    ids.push_back(nl.add_gate(d.types[g], numbered("g", g), std::move(gate_fanins)));
   }
 
   // FF D inputs: each FF reads a gate from the last half of the list so

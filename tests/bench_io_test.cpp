@@ -4,10 +4,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workloads/circuits.hpp"
+#include "workloads/synth_gen.hpp"
 
 namespace uniscan {
 namespace {
@@ -174,6 +178,104 @@ TEST(BenchIo, SpellingVariantsAccepted) {
   EXPECT_EQ(nl.num_dffs(), 1u);
   EXPECT_EQ(nl.gate(*nl.find("n1")).type, GateType::Not);
   EXPECT_EQ(nl.gate(*nl.find("b2")).type, GateType::Buf);
+}
+
+TEST(BenchIo, MixedCaseKeywordsAccepted) {
+  const auto text = "Input(a)\niNpUt(b)\noUtPuT(o)\no = NaNd(a, b)\nq = Dff(o)\n"
+                    "z = xNoR(a, q)\nOUTPUT(z)\n";
+  const Netlist nl = read_bench_string(text, "mixed");
+  EXPECT_EQ(nl.num_inputs(), 2u);
+  EXPECT_EQ(nl.num_outputs(), 2u);
+  EXPECT_EQ(nl.num_dffs(), 1u);
+  EXPECT_EQ(nl.gate(*nl.find("o")).type, GateType::Nand);
+  EXPECT_EQ(nl.gate(*nl.find("z")).type, GateType::Xnor);
+}
+
+TEST(BenchIo, EmptyOperandReported) {
+  try {
+    read_bench_string("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, , b)\n", "bad");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4: empty operand"), std::string::npos) << e.what();
+  }
+}
+
+/// What read_bench_string and read_bench (over a stream) report for `text`:
+/// the written-back netlist plus its topological order and levels, or the
+/// error text.
+std::pair<std::string, std::string> parse_both_ways(const std::string& text) {
+  const auto run = [&](bool stream) {
+    try {
+      std::istringstream is(text);
+      const Netlist nl = stream ? read_bench(is, "c", "src.bench")
+                                : read_bench_string(text, "c", "src.bench");
+      std::string out = write_bench_string(nl);
+      for (GateId g : nl.topo_order())
+        out += std::to_string(g) + ":" + std::to_string(nl.levels()[g]) + " ";
+      return out;
+    } catch (const std::runtime_error& e) {
+      return "error: " + std::string(e.what());
+    }
+  };
+  return {run(false), run(true)};
+}
+
+TEST(BenchIo, StreamAndStringEntryPointsAgree) {
+  // Gates defined in reverse topological order exercise forward references.
+  std::string reversed = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n";
+  for (const char* line : {"z = AND(y, x)", "y = OR(x, b)", "x = NOT(w)", "w = BUFF(a)"})
+    reversed += std::string(line) + "\n";
+  SynthSpec spec;
+  spec.name = "synth";
+  spec.num_inputs = 6;
+  spec.num_dffs = 5;
+  spec.num_gates = 80;
+  const std::vector<std::string> good = {
+      std::string(s27_bench_text()),
+      write_bench_string(generate_synthetic(spec)),
+      reversed,
+      "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a,\n  # wrapped\n\n  b)\n",
+      "Input(a)\noUtPuT(o)\no = NaNd(a, a)\n",
+  };
+  for (const std::string& text : good) {
+    const auto [from_string, from_stream] = parse_both_ways(text);
+    EXPECT_EQ(from_string.rfind("error: ", 0), std::string::npos) << from_string;
+    EXPECT_EQ(from_string, from_stream);
+  }
+
+  // Every malformed case of this file, plus errors reported after a
+  // continuation line (the line number is the logical line's first line,
+  // and later lines keep their physical numbers).
+  const std::string huge(500, 'Z');
+  const std::vector<std::string> bad = {
+      "INPUT(a)\nOUTPUT(o)\no = AND(a, ghost)\n",
+      "INPUT(a)\nOUTPUT(o)\no = FOO(a)\n",
+      "INPUT(a)\nOUTPUT(o)\no = NOT(a)\no = BUF(a)\n",
+      "INPUT(a)\nOUTPUT(ghost)\nx = NOT(a)\n",
+      "INPUT(a)\no NOT(a)\n",
+      "INPUT(a)\no = NOT a\n",
+      "INPUT(a)\nOUTPUT(o)\no = AND(a,\n",
+      "INPUT(a)\nINPUT(a)\nOUTPUT(o)\no = NOT(a)\n",
+      "INPUT(a)\nOUTPUT(a)\na = NOT(a)\n",
+      "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = NOT(a, b)\n",
+      "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = MUX(a, b)\n",
+      "INPUT(a)\nOUTPUT(o)\no = AND()\n",
+      "INPUT(a) junk\nOUTPUT(o)\no = NOT(a)\n",
+      "INPUT(a)\nOUTPUT(o)\no = NOT(a) junk\n",
+      "INPUT(a)\no = " + huge + "(a)\n",
+      "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, , b)\n",
+      "INPUT(a)\nOUTPUT(o)\no = AND(a,\n   ghost)\n",
+      "INPUT(a)\nOUTPUT(o)\no = AND(a,\n   a)\nx = FOO(a)\n",
+  };
+  for (const std::string& text : bad) {
+    const auto [from_string, from_stream] = parse_both_ways(text);
+    EXPECT_EQ(from_string.rfind("error: ", 0), 0u) << from_string;
+    EXPECT_EQ(from_string, from_stream);
+  }
+  EXPECT_EQ(parse_both_ways(bad[bad.size() - 2]).first,
+            "error: bench parse error in src.bench at line 3: undefined net 'ghost'");
+  EXPECT_EQ(parse_both_ways(bad.back()).first,
+            "error: bench parse error in src.bench at line 5: unknown gate type 'FOO'");
 }
 
 TEST(BenchIo, DuplicateInputReported) {

@@ -113,6 +113,25 @@ TEST(CorpusRegistry, HashPinsVerifyAndMismatchThrows) {
   EXPECT_THROW(reg.bench_text(tampered, /*verify=*/true), std::runtime_error);
 }
 
+// The manifest pin is the synthetic generator's byte-level oracle: every
+// synth row of every tier, large included, regenerated in memory must hash
+// to its pin, and its canonical text (a checked-in file where there is one)
+// must pass the load-time pin check, as `corpus_tool verify all` does in CI.
+TEST(CorpusRegistry, EverySynthRowReproducesItsPin) {
+  const CorpusRegistry& reg = CorpusRegistry::global();
+  std::size_t rows = 0, large = 0;
+  for (const CorpusEntry& e : reg.entries()) {
+    if (e.source != "synth") continue;
+    ASSERT_FALSE(e.sha256.empty()) << e.name << " must carry a hash pin";
+    EXPECT_EQ(sha256_hex(CorpusRegistry::synth_bench_text(e)), e.sha256) << e.name;
+    EXPECT_NO_THROW(reg.bench_text(e, /*verify=*/true)) << e.name;
+    ++rows;
+    if (e.tier == CorpusTier::Large) ++large;
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_EQ(large, reg.tier(CorpusTier::Large).size()) << "every large row is synth";
+}
+
 TEST(CorpusRegistry, SuiteEntriesCarryCorpusBinding) {
   const CorpusRegistry& reg = CorpusRegistry::global();
   const auto rows = reg.suite_entries(CorpusTier::Mid);

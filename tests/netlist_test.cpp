@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
+#include "scan/scan_insertion.hpp"
 #include "workloads/circuits.hpp"
+#include "workloads/synth_gen.hpp"
 
 namespace uniscan {
 namespace {
@@ -58,7 +64,13 @@ TEST(Netlist, DuplicateOutputRejected) {
   const GateId a = nl.add_input("a");
   const GateId g = nl.add_gate(GateType::Buf, "g", {a});
   nl.add_output(g);
-  EXPECT_THROW(nl.add_output(g), std::runtime_error);
+  try {
+    nl.add_output(g);
+    FAIL() << "expected a duplicate-PO error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("gate 'g' declared PO twice"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Netlist, ArityViolationDetectedAtFinalize) {
@@ -116,6 +128,71 @@ TEST(Netlist, LevelsAreMonotone) {
   for (GateId g : nl.topo_order())
     for (GateId fi : nl.gate(g).fanins)
       EXPECT_LT(nl.levels()[fi], nl.levels()[g]);
+}
+
+/// Seeded synthetic netlists of several shapes, each also re-parsed with its
+/// gate definitions reversed, so ids run against the topological order.
+std::vector<Netlist> seeded_netlists() {
+  std::vector<Netlist> out;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SynthSpec spec;
+    spec.name = "p" + std::to_string(seed);
+    spec.num_inputs = 2 + seed % 5;
+    spec.num_dffs = 1 + seed % 7;
+    spec.num_gates = 20 + 37 * seed;
+    spec.seed = seed;
+    out.push_back(generate_synthetic(spec));
+
+    std::string head, gates;
+    std::vector<std::string> lines;
+    std::string text = write_bench_string(out.back());
+    for (std::size_t pos = 0, eol; pos < text.size(); pos = eol + 1) {
+      eol = text.find('\n', pos);
+      const std::string line = text.substr(pos, eol - pos);
+      if (line.find(" = ") == std::string::npos) head += line + "\n";
+      else lines.push_back(line);
+    }
+    for (auto it = lines.rbegin(); it != lines.rend(); ++it) gates += *it + "\n";
+    out.push_back(read_bench_string(head + gates, spec.name + "_reversed"));
+  }
+  return out;
+}
+
+TEST(Netlist, TopoOrderIsSortedByLevelThenId) {
+  for (const Netlist& nl : seeded_netlists()) {
+    SCOPED_TRACE(nl.name());
+    std::vector<GateId> want;
+    for (GateId g = 0; g < nl.num_gates(); ++g) {
+      if (!is_combinational(nl.gate(g).type)) continue;
+      want.push_back(g);
+      std::uint32_t level = 0;
+      for (GateId fi : nl.gate(g).fanins) level = std::max(level, nl.levels()[fi] + 1);
+      EXPECT_EQ(nl.levels()[g], level) << nl.gate(g).name;
+    }
+    std::sort(want.begin(), want.end(), [&](GateId a, GateId b) {
+      return nl.levels()[a] != nl.levels()[b] ? nl.levels()[a] < nl.levels()[b] : a < b;
+    });
+    EXPECT_EQ(nl.topo_order(), want);
+  }
+}
+
+TEST(Netlist, OutputAndDffIndexMatchLinearScan) {
+  std::vector<Netlist> nets = seeded_netlists();
+  nets.push_back(insert_scan(nets[0]).netlist);
+  nets.push_back(insert_scan(nets[3], 2).netlist);
+  for (const Netlist& nl : nets) {
+    SCOPED_TRACE(nl.name());
+    for (GateId g = 0; g < nl.num_gates(); ++g) {
+      const auto po = std::find(nl.outputs().begin(), nl.outputs().end(), g);
+      const auto ff = std::find(nl.dffs().begin(), nl.dffs().end(), g);
+      if (po == nl.outputs().end()) EXPECT_FALSE(nl.output_index(g).has_value());
+      else EXPECT_EQ(nl.output_index(g), static_cast<std::size_t>(po - nl.outputs().begin()));
+      if (ff == nl.dffs().end()) EXPECT_FALSE(nl.dff_index(g).has_value());
+      else EXPECT_EQ(nl.dff_index(g), static_cast<std::size_t>(ff - nl.dffs().begin()));
+    }
+    EXPECT_FALSE(nl.output_index(static_cast<GateId>(nl.num_gates())).has_value());
+    EXPECT_FALSE(nl.dff_index(kNoGate).has_value());
+  }
 }
 
 TEST(Netlist, S27Statistics) {

@@ -4,7 +4,6 @@
 
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace uniscan {
 namespace {
@@ -16,15 +15,6 @@ TEST(StringUtils, TrimStripsAsciiWhitespaceOnBothEnds) {
   EXPECT_EQ(trim(""), "");
 }
 
-TEST(StringUtils, SplitTrimsAndKeepsEmptyElements) {
-  EXPECT_EQ(split("a, b ,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  // Empty elements survive so the .bench parser can report "AND(a,,b)".
-  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(split(" , ", ','), (std::vector<std::string>{"", ""}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("one", ','), (std::vector<std::string>{"one"}));
-}
-
 TEST(StringUtils, StartsWithIsCaseSensitive) {
   EXPECT_TRUE(starts_with("INPUT(a)", "INPUT"));
   EXPECT_TRUE(starts_with("abc", ""));
@@ -32,10 +22,13 @@ TEST(StringUtils, StartsWithIsCaseSensitive) {
   EXPECT_FALSE(starts_with("IN", "INPUT"));
 }
 
-TEST(StringUtils, ToUpperChangesOnlyAsciiLetters) {
-  EXPECT_EQ(to_upper("nand2_x"), "NAND2_X");
-  EXPECT_EQ(to_upper("Dff"), "DFF");
-  EXPECT_EQ(to_upper(""), "");
+TEST(StringUtils, IequalsFoldsOnlyAsciiLetters) {
+  EXPECT_TRUE(iequals("nand2_x", "NAND2_X"));
+  EXPECT_TRUE(iequals("Dff", "DFF"));
+  EXPECT_TRUE(iequals("", ""));
+  EXPECT_FALSE(iequals("DF", "DFF"));
+  EXPECT_FALSE(iequals("DFFX", "DFF"));
+  EXPECT_FALSE(iequals("nand_2", "NAND-2"));
 }
 
 TEST(StringUtils, NumberedAppendsDecimal) {
