@@ -7,15 +7,6 @@
 //   --no-scan-knowledge  disable the Section-2 functional scan knowledge
 //   --x-fill=random|zero translation x-fill policy
 //   --threads=N          size of the global fault-simulation thread pool
-//   --slot-width=W       simulation slot width: 64 | 256 | 512 | auto
-//                        (default auto: widest SIMD the build and CPU
-//                        support; see sim/slot_word.hpp). With --repack=on
-//                        (the default) auto additionally narrows per fault
-//                        population; an explicit width is always honored.
-//   --repack=on|off      live-fault batch repacking + slot-width
-//                        auto-narrowing in the streaming sessions (default
-//                        on; results are bit-identical either way — see
-//                        DESIGN.md §5j)
 //   --json=FILE          also write machine-readable results to FILE
 //   --circuits=A,B,C     run an explicit comma-separated subset of the suite
 //   --corpus=TIER        run the corpus registry instead of the paper suite:
@@ -60,8 +51,6 @@ struct Args {
   std::uint64_t seed = 1;
   std::size_t threads = 1;
   XFillPolicy fill = XFillPolicy::RandomFill;
-  bool repack = true;
-  SlotWidth slot_width = SlotWidth::Auto;
   double time_budget_secs = 0;
   double per_circuit_budget_secs = 0;
   std::string trace;   // --trace=FILE: Chrome trace_event output
@@ -77,10 +66,6 @@ T flag_or_exit(std::optional<T> v) {
 }
 
 inline Args parse_args(int argc, char** argv) {
-  if (const std::string err = engine_env_error(); !err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    std::exit(kExitUsage);
-  }
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,20 +78,7 @@ inline Args parse_args(int argc, char** argv) {
       a.threads = flag_or_exit(flag_uint(arg, ThreadPool::kMaxThreads));
     else if (arg == "--x-fill=zero") a.fill = XFillPolicy::ZeroFill;
     else if (arg == "--x-fill=random") a.fill = XFillPolicy::RandomFill;
-    else if (arg.rfind("--repack=", 0) == 0) {
-      const std::string v = arg.substr(9);
-      if (v == "on") a.repack = true;
-      else if (v == "off") a.repack = false;
-      else {
-        std::fprintf(stderr, "unknown repack mode: %s (on|off)\n", v.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--slot-width=", 0) == 0) {
-      if (!parse_slot_width(arg.substr(13), a.slot_width)) {
-        std::fprintf(stderr, "unknown slot width: %s (64|256|512|auto)\n", arg.c_str() + 13);
-        std::exit(2);
-      }
-    } else if (arg.rfind("--circuits=", 0) == 0) {
+    else if (arg.rfind("--circuits=", 0) == 0) {
       std::string rest = arg.substr(11);
       std::size_t start = 0;
       while (start <= rest.size()) {
@@ -135,8 +107,6 @@ inline Args parse_args(int argc, char** argv) {
   }
   if (a.threads == 0) a.threads = 1;
   ThreadPool::set_global_threads(a.threads);
-  set_global_repack(a.repack);
-  set_global_slot_width(a.slot_width);
   if (!a.trace.empty()) obs::Tracer::start(a.trace);
   return a;
 }
@@ -189,7 +159,6 @@ inline std::string counters_json(const obs::CounterArray& c) {
 
 /// Collects per-row results and writes them as a JSON document (schema v2):
 ///   { "schema_version": 2, "threads": N, "slot_width": 64|256|512,
-///     "repack": true|false,                             // additive in v2
 ///     "counters": {gate_evals, batch_skips, ...},       // process totals
 ///     "entries": [ {name, wall_ms, gate_evals, in_len, out_len, timed_out,
 ///                   detected,                           // additive in v2
@@ -240,8 +209,7 @@ class BenchJson {
       std::exit(1);
     }
     out << "{\n  \"schema_version\": 2,\n  \"threads\": " << threads
-        << ",\n  \"slot_width\": " << slot_width_bits(resolved_slot_width())
-        << ",\n  \"repack\": " << (global_repack() ? "true" : "false");
+        << ",\n  \"slot_width\": " << slot_width_bits(widest_slot_width());
     if (have_sat_)
       out << ",\n  \"sat\": {\"attempts\": " << sat_.attempts
           << ", \"detected\": " << sat_.detected

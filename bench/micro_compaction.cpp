@@ -1,7 +1,6 @@
 // Microbenchmarks + ablations for the static compaction procedures:
-// restoration-before-omission order (DESIGN.md §5 ablation 4), the omission
-// trial order (back-to-front vs front-to-back), and the omission checkpoint
-// interval. Accepts --threads=N (stripped before google-benchmark sees the
+// restoration-before-omission order (DESIGN.md §5 ablation 4) and the
+// omission trial order (back-to-front vs front-to-back). Accepts --threads=N (stripped before google-benchmark sees the
 // flags) to size the global fault-simulation pool.
 #include <benchmark/benchmark.h>
 
@@ -10,7 +9,6 @@
 
 #include "core/exit_codes.hpp"
 #include "core/uniscan.hpp"
-#include "sim/engine.hpp"
 #include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
@@ -100,45 +98,6 @@ void BM_OmissionOrder(benchmark::State& state) {
   state.counters["back_to_front"] = static_cast<double>(opt.back_to_front);
 }
 BENCHMARK(BM_OmissionOrder)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-/// Ablation: simulation slot width. The omission engine's batch count,
-/// checkpoint stores and fail-fast waves all shrink with wider words; the
-/// compacted sequence is bit-identical at every width.
-void BM_OmissionWidth(benchmark::State& state) {
-  Setup& s = s27();
-  set_global_slot_width(static_cast<SlotWidth>(state.range(0)));
-  std::size_t len = 0;
-  for (auto _ : state) {
-    CompactionResult r = omission_compact(s.sc.netlist, s.atpg.sequence, s.fl.faults());
-    len = r.sequence.length();
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["final_len"] = static_cast<double>(len);
-  state.counters["slot_width"] = static_cast<double>(slot_width_bits(resolved_slot_width()));
-  set_global_slot_width(SlotWidth::Auto);
-}
-BENCHMARK(BM_OmissionWidth)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
-
-/// Ablation: omission checkpoint interval (0 = resimulate every trial from
-/// power-up). The result is bit-identical across intervals; only the work
-/// per trial changes.
-void BM_OmissionCheckpoint(benchmark::State& state) {
-  Setup& s = s27();
-  OmissionOptions opt;
-  opt.checkpoint_interval = static_cast<std::size_t>(state.range(0));
-  std::size_t len = 0;
-  std::uint64_t evals = 0;
-  for (auto _ : state) {
-    CompactionResult r = omission_compact(s.sc.netlist, s.atpg.sequence, s.fl.faults(), opt);
-    len = r.sequence.length();
-    evals = r.gate_evals;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["final_len"] = static_cast<double>(len);
-  state.counters["gate_evals"] = static_cast<double>(evals);
-}
-BENCHMARK(BM_OmissionCheckpoint)->Arg(0)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

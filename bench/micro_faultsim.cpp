@@ -108,23 +108,28 @@ void BM_ParallelFaultSimNoObs(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelFaultSimNoObs)->Unit(benchmark::kMillisecond);
 
+/// The slot width a run over `n` faults takes under the current cap.
+double run_width(std::size_t n) {
+  return static_cast<double>(slot_width_bits(efficient_slot_width(n, widest_slot_width())));
+}
+
 void BM_ParallelFaultSimWidth(benchmark::State& state) {
-  // Slot-width ablation: the same run at 63, 255 and 511 faults per batch.
-  // A width the CPU runs natively takes its AVX2 / AVX-512 kernel entry,
-  // a wider one the baseline body. Arg(0) = auto (the CPU's native width).
+  // Slot-width ablation: the same run with the widest word capped at 64,
+  // 256 and 512 bits (a 512 cap leaves the CPU's native width); the
+  // simulator still narrows below the cap when the fault count justifies
+  // it, and the `slot_width` counter reports the word it ran.
   Setup& s = s298();
   FaultSimulator sim(s.nl);
-  set_global_slot_width(static_cast<SlotWidth>(state.range(0)));
+  const detail::SlotWidthCap cap(static_cast<SlotWidth>(state.range(0)));
   for (auto _ : state) {
     auto records = sim.run(s.seq, s.fl.faults());
     benchmark::DoNotOptimize(records);
   }
-  state.counters["slot_width"] = static_cast<double>(slot_width_bits(resolved_slot_width()));
+  state.counters["slot_width"] = run_width(s.fl.size());
   state.counters["fault_frames/s"] = benchmark::Counter(
       static_cast<double>(s.fl.size() * s.seq.length()), benchmark::Counter::kIsRate);
-  set_global_slot_width(SlotWidth::Auto);
 }
-BENCHMARK(BM_ParallelFaultSimWidth)->Arg(64)->Arg(256)->Arg(512)->Arg(0)
+BENCHMARK(BM_ParallelFaultSimWidth)->Arg(64)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSimWidthLarge(benchmark::State& state) {
@@ -134,24 +139,23 @@ void BM_ParallelFaultSimWidthLarge(benchmark::State& state) {
   // regime the wide words are for.
   static Setup s("s1423", 256);
   FaultSimulator sim(s.nl);
-  set_global_slot_width(static_cast<SlotWidth>(state.range(0)));
+  const detail::SlotWidthCap cap(static_cast<SlotWidth>(state.range(0)));
   for (auto _ : state) {
     auto records = sim.run(s.seq, s.fl.faults());
     benchmark::DoNotOptimize(records);
   }
-  state.counters["slot_width"] = static_cast<double>(slot_width_bits(resolved_slot_width()));
+  state.counters["slot_width"] = run_width(s.fl.size());
   state.counters["fault_frames/s"] = benchmark::Counter(
       static_cast<double>(s.fl.size() * s.seq.length()), benchmark::Counter::kIsRate);
-  set_global_slot_width(SlotWidth::Auto);
 }
 BENCHMARK(BM_ParallelFaultSimWidthLarge)->Arg(64)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SessionAdvanceWidth(benchmark::State& state) {
   // Session construction is untimed; the advance packs the whole fault
-  // universe into kBits-1-slot batches at the forced width.
+  // universe into kBits-1-slot batches at the width the cap allows.
   Setup& s = s298();
-  set_global_slot_width(static_cast<SlotWidth>(state.range(0)));
+  const detail::SlotWidthCap cap(static_cast<SlotWidth>(state.range(0)));
   for (auto _ : state) {
     state.PauseTiming();
     FaultSimSession session(s.nl, s.fl.faults());
@@ -159,8 +163,7 @@ void BM_SessionAdvanceWidth(benchmark::State& state) {
     session.advance(s.seq);
     benchmark::DoNotOptimize(session.num_detected());
   }
-  state.counters["slot_width"] = static_cast<double>(slot_width_bits(resolved_slot_width()));
-  set_global_slot_width(SlotWidth::Auto);
+  state.counters["slot_width"] = run_width(s.fl.size());
 }
 BENCHMARK(BM_SessionAdvanceWidth)->Arg(64)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
@@ -179,17 +182,15 @@ void BM_SessionAdvance(benchmark::State& state) {
 BENCHMARK(BM_SessionAdvance)->Unit(benchmark::kMillisecond);
 
 void BM_RepackFaultSim(benchmark::State& state) {
-  // Repacking ablation (DESIGN.md §5j): a session advanced chunk by chunk,
-  // the regime repacking targets — early chunks detect the easy faults, so
-  // without repacking the later chunks drag mostly-dead batches. s344 is
+  // A session advanced chunk by chunk, the regime repacking (DESIGN.md
+  // §5j) targets: early chunks detect the easy faults, and the session
+  // repacks the survivors into fewer, narrower batches. s344 is
   // random-testable (most lanes die within the first chunks); a
   // random-resistant circuit like s526 keeps its population live and the
-  // trigger correctly never fires. Arg pairs are (slot width or 0 for
-  // auto, repack on/off); detections are bit-identical across all
-  // variants, only the work moves.
+  // trigger correctly never fires. Arg = the slot-width cap (a 512 cap
+  // leaves the CPU's native width); detections are identical under every
+  // cap.
   static Setup s("s344", 2048);
-  const SlotWidth width = static_cast<SlotWidth>(state.range(0));
-  const bool repack = state.range(1) != 0;
   constexpr std::size_t kChunk = 64;
   std::vector<TestSequence> chunks;
   for (std::size_t t = 0; t < s.seq.length(); t += kChunk) {
@@ -198,8 +199,7 @@ void BM_RepackFaultSim(benchmark::State& state) {
       c.append(std::vector<V3>(s.seq.vector_at(u)));
     chunks.push_back(std::move(c));
   }
-  set_global_slot_width(width);
-  set_global_repack(repack);
+  const detail::SlotWidthCap cap(static_cast<SlotWidth>(state.range(0)));
   const std::uint64_t evals0 = obs::totals()[static_cast<std::size_t>(obs::Counter::GateEvals)];
   std::uint64_t iters = 0;
   for (auto _ : state) {
@@ -213,14 +213,8 @@ void BM_RepackFaultSim(benchmark::State& state) {
   const std::uint64_t evals1 = obs::totals()[static_cast<std::size_t>(obs::Counter::GateEvals)];
   if (iters)
     state.counters["gate_evals/iter"] = static_cast<double>((evals1 - evals0) / iters);
-  set_global_repack(true);
-  set_global_slot_width(SlotWidth::Auto);
 }
-BENCHMARK(BM_RepackFaultSim)
-    ->Args({0, 0})->Args({0, 1})
-    ->Args({64, 0})->Args({64, 1})
-    ->Args({512, 0})->Args({512, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RepackFaultSim)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

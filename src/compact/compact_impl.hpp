@@ -18,7 +18,7 @@
 //    sequence; a trial erasure is a SequenceView with one logical position
 //    skipped. No O(L·PI) TestSequence copy per trial.
 //  * A trace per batch — lean snapshots of the accepted run every
-//    `checkpoint_interval` frames and one raw observation word per frame.
+//    kCheckpointInterval frames and one raw observation word per frame.
 //    A trial resumes from the latest snapshot at or below its position and
 //    stops as soon as its state equals a snapshot one frame later: from
 //    there on it is the accepted run shifted by one frame, so its verdict
@@ -32,6 +32,10 @@
 //  * Batch parallelism — the per-trial active batches fan out across
 //    ThreadPool::global(); every batch writes only its own trace and
 //    scratch, so the result does not depend on the thread count.
+//
+// The engine runs 64-bit words whatever the CPU's widest: a trial stops
+// once its batch's state re-joins the accepted run, which a wider batch
+// reaches later.
 #pragma once
 
 #include <algorithm>
@@ -59,21 +63,23 @@
 namespace uniscan::detail {
 
 /// Incremental trial-erasure engine for vector omission. Holds the current
-/// selection as a keep-list, one BatchRunnerT<Word> per kBits-1 must-detect
+/// selection as a keep-list, one 64-bit BatchRunnerT per 63 must-detect
 /// faults, and per batch a trace of its run, brought up to date with the
 /// committed erasures before the batch is next simulated.
-template <typename Simulator, typename Word>
+template <typename Simulator>
 class OmissionEngine {
  public:
+  using Word = std::uint64_t;
   using FaultT = typename Simulator::fault_type;
   using Runner = typename Simulator::template BatchRunnerT<Word>;
   using State = SimBatchStateT<Word>;
   using Store = CheckpointStoreT<Word>;
   static constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
+  /// Frames between two snapshots of a batch's trace.
+  static constexpr std::size_t kCheckpointInterval = 4;
 
-  OmissionEngine(const CompiledNetlist& cnl, const TestSequence& base, std::vector<FaultT> must,
-                 std::size_t checkpoint_interval)
-      : base_(&base), must_(std::move(must)), interval_(checkpoint_interval) {
+  OmissionEngine(const CompiledNetlist& cnl, const TestSequence& base, std::vector<FaultT> must)
+      : base_(&base), must_(std::move(must)) {
     kept_.resize(base.length());
     std::iota(kept_.begin(), kept_.end(), 0);
 
@@ -154,7 +160,7 @@ class OmissionEngine {
   // A batch's run over the selection as it stood after the first `synced`
   // committed erasures.
   struct Trace {
-    Store snaps;            // lean snapshots, `interval_` apart when built
+    Store snaps;            // lean snapshots, kCheckpointInterval apart when built
     std::vector<Word> obs;  // per frame: slots observed at a PO, unmasked
     // Per slot: the first and the last frame observing it, and the latest
     // first observation. Every slot is observed: all must-detect faults
@@ -180,7 +186,7 @@ class OmissionEngine {
     State& s = states_[b];
     tr.obs.assign(length(), Word{});
     auto capture = [&](const State& st) {
-      if (interval_ != 0 && st.frame != 0 && st.frame % interval_ == 0) tr.snaps.push_back(st);
+      if (st.frame != 0 && st.frame % kCheckpointInterval == 0) tr.snaps.push_back(st);
       return false;
     };
     typename Runner::AdvanceOptions opt;
@@ -384,7 +390,6 @@ class OmissionEngine {
 
   const TestSequence* base_;
   std::vector<FaultT> must_;
-  std::size_t interval_;
   std::vector<std::size_t> kept_;    // base indices of the current selection
   std::vector<std::size_t> erased_;  // base indices erased, in commit order
   std::vector<Runner> runners_;
@@ -394,13 +399,12 @@ class OmissionEngine {
   std::vector<Work> work_;  // per pool worker
 };
 
-/// The omission passes, on an engine of slot width `Word`: fills the
-/// result's sequence, rounds and timeout flag.
-template <typename Simulator, typename Word>
+/// The omission passes: fill the result's sequence, rounds and timeout flag.
+template <typename Simulator>
 void omission_passes(const CompiledNetlist& cnl, const TestSequence& seq,
                      std::vector<typename Simulator::fault_type> must,
                      const OmissionOptions& options, CompactionResult& result) {
-  OmissionEngine<Simulator, Word> engine(cnl, seq, std::move(must), options.checkpoint_interval);
+  OmissionEngine<Simulator> engine(cnl, seq, std::move(must));
 
   // Every committed erasure has already passed an exact trial of all the
   // must-detect faults, so the selection is consistent after ANY trial —
@@ -457,21 +461,7 @@ CompactionResult omission_impl(const Netlist& nl, const TestSequence& seq,
   must.reserve(must_idx.size());
   for (std::size_t i : must_idx) must.push_back(faults[i]);
 
-  // An explicit slot width applies as given. Under Auto the engine keeps
-  // 64-bit words: a trial stops once its batch's state re-joins the
-  // accepted run (DESIGN.md §5c), which a wider batch reaches later.
-  switch (slot_width_is_auto() ? SlotWidth::W64 : resolved_slot_width()) {
-    case SlotWidth::W256:
-      omission_passes<Simulator, Simd256>(sim.compiled(), seq, std::move(must), options, result);
-      break;
-    case SlotWidth::W512:
-      omission_passes<Simulator, Simd512>(sim.compiled(), seq, std::move(must), options, result);
-      break;
-    default:
-      omission_passes<Simulator, std::uint64_t>(sim.compiled(), seq, std::move(must), options,
-                                                result);
-      break;
-  }
+  omission_passes<Simulator>(sim.compiled(), seq, std::move(must), options, result);
   result.vectors_removed = seq.length() - result.sequence.length();
 
   const auto final_det = sim.run(result.sequence, faults);

@@ -29,11 +29,6 @@ struct OmissionOptions {
   /// vectors depend on fewer downstream detections), false = first vector
   /// first. Exposed for the ablation bench.
   bool back_to_front = true;
-  /// Snapshot each fault batch's simulation state every this many frames so
-  /// a trial erasure resumes from the nearest snapshot instead of frame 0.
-  /// 0 disables checkpointing (every trial simulates from power-up). Purely
-  /// a performance knob — the result is bit-identical for every value.
-  std::size_t checkpoint_interval = 4;
   /// Cooperative deadline (DESIGN.md §5f), polled between trial omissions.
   /// Every committed omission has already passed full resimulation, so on
   /// expiry the current sequence is returned as-is with `timed_out` set.

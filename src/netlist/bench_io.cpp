@@ -163,6 +163,8 @@ Netlist read_bench_string(std::string_view text, std::string circuit_name,
   const GateId first_id = static_cast<GateId>(nl.num_gates());
   nl.reserve(nl.num_gates() + pending.size());
   for (const PendingGate& pg : pending) {
+    if (nl.find(pg.name))
+      fail_at(pg.line_no, "duplicate definition of net '" + excerpt(pg.name) + "'");
     if (pg.type == GateType::Dff)
       nl.add_dff(std::string(pg.name));
     else
@@ -189,6 +191,8 @@ Netlist read_bench_string(std::string_view text, std::string circuit_name,
     if (!driver)
       fail_at(output_lines[i],
               "OUTPUT references undefined net '" + excerpt(output_names[i]) + "'");
+    if (nl.output_index(*driver))
+      fail_at(output_lines[i], "duplicate OUTPUT '" + excerpt(output_names[i]) + "'");
     nl.add_output(*driver);
   }
 

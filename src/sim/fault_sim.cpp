@@ -483,11 +483,11 @@ FaultSimulatorT<Model>::FaultSimulatorT(const Netlist& nl)
 
 namespace {
 
-/// Call fn.template operator()<Word>() at the slot width resolved for `n`
+/// Call fn.template operator()<Word>() at the slot width efficient for `n`
 /// concurrent faults.
 template <class Fn>
 decltype(auto) at_slot_width(std::size_t n, Fn&& fn) {
-  switch (resolved_slot_width_for(n)) {
+  switch (efficient_slot_width(n, widest_slot_width())) {
     case SlotWidth::W256: return fn.template operator()<Simd256>();
     case SlotWidth::W512: return fn.template operator()<Simd512>();
     default: return fn.template operator()<std::uint64_t>();

@@ -28,8 +28,8 @@
 //    pure function of that fault's slot.
 //  * FaultSimulatorT<Model> — the one-shot API (run / detects_all /
 //    detected_indices), fanning its independent batches across
-//    ThreadPool::global() at the process-wide slot width
-//    (resolved_slot_width_for(), read per call). Results are bit-identical
+//    ThreadPool::global() at the slot width the fault count justifies
+//    (efficient_slot_width(), read per call). Results are bit-identical
 //    for every thread count: each batch writes only its own output slots.
 //    FaultSimulator and TransitionFaultSimulator are its two instantiations.
 #pragma once

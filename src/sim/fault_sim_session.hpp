@@ -13,13 +13,12 @@
 // batch — see sim/slot_word.hpp), packed hardest-first (sim/fault_order.hpp)
 // so batches whose faults are all detected go cold early and are skipped
 // without simulation; the live batches of every advance() fan out across
-// ThreadPool::global(). With repacking enabled (engine.hpp, the default)
-// the core additionally repacks surviving faults into dense batches between
-// advances and auto-narrows the slot word as the live population shrinks.
-// Each batch writes only its own state and detection slots and the merge
-// runs serially in batch order, so results are bit-identical at every
-// thread count — and at every width and with repacking on or off, because
-// per-fault detection is a pure function of that fault's slot.
+// ThreadPool::global(). Between advances the core repacks surviving faults
+// into dense batches and narrows the slot word as the live population
+// shrinks (sim/engine.hpp). Each batch writes only its own state and
+// detection slots and the merge runs serially in batch order, so results
+// are bit-identical at every thread count — and at every width and packing,
+// because per-fault detection is a pure function of that fault's slot.
 #pragma once
 
 #include <cstdint>

@@ -16,10 +16,10 @@
 //    faults into dense batches whenever that removes at least a quarter of
 //    the live batches, rebuilding the affected BatchPrograms for exactly
 //    the new batches.
-//  * Auto-narrowing. When no explicit slot width was requested, the repack
-//    target width is efficient_slot_width(live) — 512→256→64 as the live
-//    population shrinks below what wide lanes amortize (and tiny circuits
-//    start narrow on day one).
+//  * Narrowing. The initial width and every repack target width are
+//    efficient_slot_width(live, widest_slot_width()) — 512→256→64 as the
+//    live population shrinks below what wide lanes amortize (and tiny
+//    circuits start narrow on day one).
 //  * Pack cache. Tentative advance/restore cycles (snapshot → advance →
 //    restore) would otherwise rebuild the same pack every failed trial; the
 //    last pack built per width is cached and reused when the survivor set
@@ -31,9 +31,9 @@
 // constructed to be machine-for-machine identical: every DFF the new
 // runner samples gets the good-machine value with the fault's old faulty
 // value (good where the old runner did not sample — no fault effect could
-// reach there). Results are therefore bit-identical with repacking on or
-// off, at any width and any thread count; gate_evals/batches_run shrink,
-// repack_events/lanes_reclaimed record the layer's activity.
+// reach there). Results are therefore those of the scalar reference
+// simulator at any width and any thread count; repacking shrinks
+// gate_evals/batches_run, repack_events/lanes_reclaimed record its activity.
 //
 // Snapshots hold a shared_ptr to the immutable pack they were captured
 // under plus the live batch states, so restore() re-installs that exact
@@ -85,18 +85,12 @@ class SessionCoreT {
         good_runner_(*compiled_, std::span<const FaultT>{}) {
     detection_.assign(faults_.size(), DetectionRecord{});
     good_ = good_runner_.initial_state();
-    repack_on_ = global_repack();
-    width_auto_ = slot_width_is_auto();
-    max_width_ = resolved_slot_width();
 
     // Initial packing: hardest-first (observation depth as the
     // detection-likelihood proxy, structurally grouped within a depth class
     // — sim/fault_order.hpp) at the width the whole population justifies.
-    const SlotWidth w0 = (repack_on_ && width_auto_)
-                             ? efficient_slot_width(faults_.size(), max_width_)
-                             : max_width_;
     std::vector<std::size_t> order = hardest_first_order(nl, std::span<const FaultT>(faults_));
-    install_fresh_engine(w0, std::move(order));
+    install_fresh_engine(efficient_slot_width(faults_.size(), max_width_), std::move(order));
     obs::count_max(obs::Counter::LiveFaultsPeak, faults_.size());
   }
 
@@ -106,7 +100,7 @@ class SessionCoreT {
     const SequenceView view(chunk);
     const obs::TraceSpan span("session_advance");
 
-    if (repack_on_) std::visit([&](auto& eng) { maybe_repack(eng); }, engine_);
+    std::visit([&](auto& eng) { maybe_repack(eng); }, engine_);
     const std::size_t gained =
         std::visit([&](auto& eng) { return advance_engine(eng, view); }, engine_);
     now_ += chunk.length();
@@ -267,7 +261,7 @@ class SessionCoreT {
     for (const auto& s : old.states)
       if (w_any(s.live)) ++live_batches;
     const SlotWidth cur = static_cast<SlotWidth>(WordTraits<OldWord>::kBits);
-    const SlotWidth target = width_auto_ ? efficient_slot_width(live, max_width_) : cur;
+    const SlotWidth target = efficient_slot_width(live, max_width_);
     const std::size_t per_new = slot_width_bits(target) - 1;
     const std::size_t need = (live + per_new - 1) / per_new;
     // Repack when the width changes, or when dense same-width repacking
@@ -482,9 +476,7 @@ class SessionCoreT {
   std::vector<DetectionRecord> detection_;  // original order
   std::size_t num_detected_ = 0;
   std::size_t now_ = 0;
-  SlotWidth max_width_ = SlotWidth::W64;  // construction-time resolved width
-  bool width_auto_ = false;               // may auto-narrow below max_width_
-  bool repack_on_ = false;
+  const SlotWidth max_width_ = widest_slot_width();  // read once, at construction
   // Last pack built per width, so tentative advance/restore churn reuses it.
   std::shared_ptr<const PackT<std::uint64_t>> cache64_;
   std::shared_ptr<const PackT<Simd256>> cache256_;

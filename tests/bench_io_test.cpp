@@ -136,6 +136,30 @@ TEST(BenchIo, FileParseErrorsNameTheFile) {
   std::remove(path.c_str());
 }
 
+TEST(BenchIo, DuplicateNamesInFileReportFileAndLine) {
+  // A second definition of a net and a repeated OUTPUT are caught by the
+  // reader itself, so the message names the file and the offending line.
+  const std::string path = ::testing::TempDir() + "duplicate.bench";
+  const auto what_of = [&](const char* text) -> std::string {
+    {
+      std::ofstream f(path);
+      f << text;
+    }
+    try {
+      read_bench_file(path);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string gate = what_of("INPUT(a)\nOUTPUT(o)\no = NOT(a)\no = BUF(a)\n");
+  EXPECT_NE(gate.find(path + " at line 4: duplicate definition of net 'o'"), std::string::npos)
+      << gate;
+  const std::string output = what_of("INPUT(a)\nOUTPUT(o)\nOUTPUT(o)\no = NOT(a)\n");
+  EXPECT_NE(output.find(path + " at line 3: duplicate OUTPUT 'o'"), std::string::npos) << output;
+  std::remove(path.c_str());
+}
+
 TEST(BenchIo, CrlfLineEndingsTolerated) {
   const auto text = "INPUT(a)\r\nOUTPUT(o)\r\no = NOT(a)\r\n";
   const Netlist nl = read_bench_string(text, "crlf");
@@ -266,16 +290,28 @@ TEST(BenchIo, StreamAndStringEntryPointsAgree) {
       "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, , b)\n",
       "INPUT(a)\nOUTPUT(o)\no = AND(a,\n   ghost)\n",
       "INPUT(a)\nOUTPUT(o)\no = AND(a,\n   a)\nx = FOO(a)\n",
+      "INPUT(a)\nOUTPUT(o)\nq = DFF(a)\no = NOT(q)\nq = DFF(o)\n",
+      "INPUT(a)\nOUTPUT(o)\nOUTPUT(o)\no = NOT(a)\n",
   };
   for (const std::string& text : bad) {
     const auto [from_string, from_stream] = parse_both_ways(text);
     EXPECT_EQ(from_string.rfind("error: ", 0), 0u) << from_string;
     EXPECT_EQ(from_string, from_stream);
   }
-  EXPECT_EQ(parse_both_ways(bad[bad.size() - 2]).first,
+  EXPECT_EQ(parse_both_ways(bad[bad.size() - 4]).first,
             "error: bench parse error in src.bench at line 3: undefined net 'ghost'");
-  EXPECT_EQ(parse_both_ways(bad.back()).first,
+  EXPECT_EQ(parse_both_ways(bad[bad.size() - 3]).first,
             "error: bench parse error in src.bench at line 5: unknown gate type 'FOO'");
+  // Names the netlist itself would reject are reported by the parser, with
+  // the line of the second definition or declaration.
+  EXPECT_EQ(parse_both_ways(bad[2]).first,
+            "error: bench parse error in src.bench at line 4: duplicate definition of net 'o'");
+  EXPECT_EQ(parse_both_ways(bad[8]).first,
+            "error: bench parse error in src.bench at line 3: duplicate definition of net 'a'");
+  EXPECT_EQ(parse_both_ways(bad[bad.size() - 2]).first,
+            "error: bench parse error in src.bench at line 5: duplicate definition of net 'q'");
+  EXPECT_EQ(parse_both_ways(bad.back()).first,
+            "error: bench parse error in src.bench at line 3: duplicate OUTPUT 'o'");
 }
 
 TEST(BenchIo, DuplicateInputReported) {

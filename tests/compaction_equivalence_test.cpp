@@ -4,8 +4,8 @@
 // erasures evaluated by full from-scratch resimulation of a materialized
 // subsequence. These tests pin that down by running a self-contained
 // reference implementation of the seed algorithm next to the production
-// path, for both fault models, several thread counts, and checkpoint
-// intervals including the degenerate ones.
+// path, for both fault models, both trial orders and several thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,7 +98,7 @@ struct StuckAtFixture {
   AtpgResult atpg = generate_tests(sc, fl, {});
 };
 
-TEST(OmissionEquivalence, StuckAtAcrossThreadsAndIntervals) {
+TEST(OmissionEquivalence, StuckAtAcrossThreads) {
   StuckAtFixture fx;
   const CompactionResult want = reference_omission<FaultSimulator, Fault>(
       fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), {});
@@ -106,16 +106,10 @@ TEST(OmissionEquivalence, StuckAtAcrossThreadsAndIntervals) {
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     PoolGuard guard(threads);
-    for (std::size_t interval : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                 std::size_t{1000000}}) {
-      OmissionOptions opt;
-      opt.checkpoint_interval = interval;
-      const CompactionResult got =
-          omission_compact(fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), opt);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " interval=" + std::to_string(interval));
-      expect_same(got, want);
-    }
+    const CompactionResult got =
+        omission_compact(fx.sc.netlist, fx.atpg.sequence, fx.fl.faults(), {});
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same(got, want);
   }
 }
 
@@ -180,19 +174,12 @@ void expect_translated_equivalence(const TranslatedFixture& fx, std::span<const 
   ASSERT_LT(want.sequence.length(), fx.seq.length());
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     PoolGuard guard(threads);
-    for (std::size_t interval : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                 std::size_t{1000000}}) {
-      opt.checkpoint_interval = interval;
-      const obs::CounterScope scope;
-      const CompactionResult got = omission_compact(fx.sc.netlist, fx.seq, faults, opt);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " interval=" + std::to_string(interval));
-      expect_same(got, want);
-      // Stopping at a state match needs snapshots inside the sequence.
-      const std::uint64_t converged = scope.delta(obs::Counter::OmissionConverged);
-      if (interval == 0 || interval >= fx.seq.length()) EXPECT_EQ(converged, 0u);
-      else EXPECT_GT(converged, 0u);
-    }
+    const obs::CounterScope scope;
+    const CompactionResult got = omission_compact(fx.sc.netlist, fx.seq, faults, opt);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same(got, want);
+    // The long scan shifts make trials re-join the accepted run.
+    EXPECT_GT(scope.delta(obs::Counter::OmissionConverged), 0u);
   }
 }
 
@@ -252,8 +239,11 @@ BatchRun run_batch(const FaultSimulator::BatchRunner& r, const TestSequence& seq
 /// the accepted run first observes inside the window the erasure changed,
 /// and only a later observation of it, past the match, keeps it detected.
 /// Replays the reference procedure's trials with the engine's batching and
-/// a snapshot at every frame (interval 1), and requires the fixture to hold
-/// such a trial, so the equivalence tests above cover the case.
+/// a snapshot at every frame, and requires the fixture to hold such a
+/// trial, so the equivalence tests above cover the case. (The engine
+/// compares states only at its snapshots, 4 frames apart, so it sees a
+/// match a few frames later; counting the case inside trial_passes showed
+/// each Translated* test above meeting it in 4 000 to 5 000 trials.)
 TEST(OmissionEquivalence, TranslatedFixtureHasMatchResolvedByLaterObservation) {
   const TranslatedFixture fx("s298");
   const Netlist& nl = fx.sc.netlist;
@@ -337,44 +327,41 @@ TEST(OmissionEngine, EraseAtBoundaryFramesMatchesReference) {
     if (base[i].detected) must.push_back(fx.fl.faults()[i]);
   ASSERT_FALSE(must.empty());
 
-  for (const std::size_t interval : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("interval=" + std::to_string(interval));
-    detail::OmissionEngine<FaultSimulator, std::uint64_t> engine(
-        sim.compiled(), fx.atpg.sequence, must, interval);
+  using Engine = detail::OmissionEngine<FaultSimulator>;
+  Engine engine(sim.compiled(), fx.atpg.sequence, must);
 
-    // Reference predicate against the engine's own current selection.
-    TestSequence cur = fx.atpg.sequence;
-    const auto reference_would_accept = [&](std::size_t t) {
-      std::vector<std::size_t> keep;
-      for (std::size_t j = 0; j < cur.length(); ++j)
-        if (j != t) keep.push_back(j);
-      return sim.detects_all(cur.select(keep), must);
-    };
-    const auto check = [&](std::size_t t) {
-      SCOPED_TRACE("erase at t=" + std::to_string(t));
-      const bool want = reference_would_accept(t);
-      ASSERT_EQ(engine.try_erase(t), want);
-      if (want) cur.erase(t);
-      ASSERT_EQ(engine.materialize(), cur);
-    };
+  // Reference predicate against the engine's own current selection.
+  TestSequence cur = fx.atpg.sequence;
+  const auto reference_would_accept = [&](std::size_t t) {
+    std::vector<std::size_t> keep;
+    for (std::size_t j = 0; j < cur.length(); ++j)
+      if (j != t) keep.push_back(j);
+    return sim.detects_all(cur.select(keep), must);
+  };
+  const auto check = [&](std::size_t t) {
+    SCOPED_TRACE("erase at t=" + std::to_string(t));
+    const bool want = reference_would_accept(t);
+    ASSERT_EQ(engine.try_erase(t), want);
+    if (want) cur.erase(t);
+    ASSERT_EQ(engine.materialize(), cur);
+  };
 
-    check(0);                 // frame 0: no checkpoint at or below
-    check(interval);          // exactly on a checkpoint frame
-    check(cur.length() - 1);  // last frame
-    check(cur.length() - 1);  // last frame again after the state shrank
+  check(0);                 // frame 0: no checkpoint at or below
+  check(Engine::kCheckpointInterval);  // exactly on a checkpoint frame
+  check(cur.length() - 1);  // last frame
+  check(cur.length() - 1);  // last frame again after the state shrank
 
-    // The first accepted erasure from the back, then the trials right
-    // after it: below it, and at its position (now the next vector).
-    std::size_t t = cur.length();
-    while (t-- > 0 && !reference_would_accept(t)) check(t);
-    ASSERT_LT(t, cur.length()) << "no accepted erasure";
-    check(t);
-    if (t > 0) check(t - 1);
-    if (t < cur.length()) check(t);
+  // The first accepted erasure from the back, then the trials right
+  // after it: below it, and at its position (now the next vector).
+  std::size_t t = cur.length();
+  while (t-- > 0 && !reference_would_accept(t)) check(t);
+  ASSERT_LT(t, cur.length()) << "no accepted erasure";
+  check(t);
+  if (t > 0) check(t - 1);
+  if (t < cur.length()) check(t);
 
-    for (std::size_t u = cur.length(); u-- > 0;) check(u);  // full sweep
-    ASSERT_EQ(engine.length(), cur.length());
-  }
+  for (std::size_t u = cur.length(); u-- > 0;) check(u);  // full sweep
+  ASSERT_EQ(engine.length(), cur.length());
 }
 
 }  // namespace

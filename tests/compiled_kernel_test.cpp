@@ -1,10 +1,10 @@
 // CompiledNetlist kernel tests: CSR/structural invariants of the compiled
 // form, and the fault-simulation kernel against the scalar reference
 // simulator (tests/reference_sim.hpp) for both fault models, one-shot and
-// session, at every slot width and several thread counts — on the embedded
-// s27 scan circuit and on fuzzed synthetic netlists, over fault lists that
-// include branch faults (forced per-pin injection chains) and from the all-X
-// power-up state.
+// session, under every slot-width cap and several thread counts — on the
+// embedded s27 scan circuit and on fuzzed synthetic netlists, over fault
+// lists that include branch faults (forced per-pin injection chains) and
+// from the all-X power-up state.
 #include "sim/compiled_netlist.hpp"
 
 #include <gtest/gtest.h>
@@ -26,13 +26,10 @@
 namespace uniscan {
 namespace {
 
-/// Restores the process-wide slot width and thread count on scope exit so
-/// tests sharing the binary don't leak settings into each other.
+/// Restores the process-wide thread count on scope exit so tests sharing
+/// the binary don't leak settings into each other.
 struct KernelConfigGuard {
-  ~KernelConfigGuard() {
-    set_global_slot_width(SlotWidth::Auto);
-    ThreadPool::set_global_threads(1);
-  }
+  ~KernelConfigGuard() { ThreadPool::set_global_threads(1); }
 };
 
 Netlist fuzz_netlist(std::uint64_t seed) {
@@ -145,7 +142,8 @@ TEST(CompiledNetlist, FullEvalMatchesPerGateReference) {
 }
 
 /// The kernel configurations every test below sweeps: thread counts times
-/// slot widths (a SIMD width the CPU lacks runs the baseline kernel body).
+/// slot-width caps (detail::SlotWidthCap; a simulator still narrows below
+/// the cap when its fault count is small).
 constexpr std::size_t kThreads[] = {1, 2, 4, 8};
 constexpr SlotWidth kWidths[] = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512};
 
@@ -191,7 +189,7 @@ TEST_P(KernelEquivalence, StuckAtMatchesReference) {
   for (const SlotWidth width : kWidths) {
     for (const std::size_t threads : kThreads) {
       SCOPED_TRACE(config_name(threads, width));
-      set_global_slot_width(width);
+      const detail::SlotWidthCap cap(width);
       ThreadPool::set_global_threads(threads);
       FaultSimulator sim(nl);
       std::vector<LatchRecord> latch;
@@ -213,7 +211,7 @@ TEST_P(KernelEquivalence, TransitionMatchesReference) {
   for (const SlotWidth width : kWidths) {
     for (const std::size_t threads : kThreads) {
       SCOPED_TRACE(config_name(threads, width));
-      set_global_slot_width(width);
+      const detail::SlotWidthCap cap(width);
       ThreadPool::set_global_threads(threads);
       TransitionFaultSimulator sim(nl);
       std::vector<LatchRecord> latch;
@@ -244,7 +242,7 @@ TEST_P(KernelEquivalence, SessionStatesMatchReference) {
   for (const SlotWidth width : kWidths) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE(config_name(threads, width));
-      set_global_slot_width(width);
+      const detail::SlotWidthCap cap(width);
       ThreadPool::set_global_threads(threads);
       FaultSimSession ses(nl, fl.faults());
       TransitionSimSession tses(nl, tfaults);
@@ -300,7 +298,7 @@ TEST(KernelEquivalence, AllXSequenceMatchesReference) {
   for (const SlotWidth width : kWidths) {
     for (const std::size_t threads : kThreads) {
       SCOPED_TRACE(config_name(threads, width));
-      set_global_slot_width(width);
+      const detail::SlotWidthCap cap(width);
       ThreadPool::set_global_threads(threads);
       FaultSimulator sim(nl);
       std::vector<LatchRecord> latch;

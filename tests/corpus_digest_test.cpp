@@ -2,14 +2,14 @@
 //
 // Tier-1 (uniscan_tests): SHA-256 unit vectors, registry/manifest checks,
 // and the digest invariance matrix on s1423 — the same circuit digested at
-// 1/2/4 threads, forced 64- and 256-bit slot widths, and with live-fault
-// repacking off must produce ONE hash (the determinism contracts of DESIGN.md
-// §5d/§5h/§5j collapsed into a single comparison). The fast tier is also
-// checked against its checked-in corpus/golden/<ckt>.ans.sha files.
+// 1/2/4 threads and with the slot width capped at 64 and 256 bits must
+// produce ONE hash (the determinism contracts of DESIGN.md §5d/§5h/§5j
+// collapsed into a single comparison). The fast tier is also checked
+// against its checked-in corpus/golden/<ckt>.ans.sha files.
 //
 // Slow (uniscan_slow_tests, -DUNISCAN_SLOW_CORPUS, ctest label `slow`):
 // the full fast+mid sweep against the golden files plus the full
-// width × thread × repack matrix on the mid-tier anchors (s1423, s5378).
+// width-cap × thread matrix on the mid-tier anchors (s1423, s5378).
 //
 // Refresh goldens after an intentional behavior change with
 //   UNISCAN_REGEN_GOLDEN=1 ./uniscan_tests --gtest_filter='CorpusDigest.*'
@@ -31,27 +31,16 @@
 namespace uniscan {
 namespace {
 
-/// Forces slot width + pool size + live-fault repacking for one digest run;
-/// restores the defaults on exit so test order cannot leak configuration.
-/// (A UNISCAN_REPACK environment setting overrides the repack choice, as it
-/// does for every run.)
-struct ConfigGuard {
-  ConfigGuard(SlotWidth w, std::size_t threads, bool repack) {
-    set_global_slot_width(w);
-    ThreadPool::set_global_threads(threads);
-    set_global_repack(repack);
-  }
-  ~ConfigGuard() {
-    set_global_slot_width(SlotWidth::Auto);
-    ThreadPool::set_global_threads(1);
-    set_global_repack(true);
-  }
-};
-
-std::string digest_under(const CorpusRegistry& reg, const CorpusEntry& e, SlotWidth width,
-                         std::size_t threads, bool repack = true) {
-  const ConfigGuard guard(width, threads, repack);
-  return compute_corpus_digest(reg, e).sha_hex;
+/// The digest of `e` with the slot width capped at `cap` (a W512 cap leaves
+/// the CPU's native width) and a pool of `threads`; restores one thread on
+/// exit so test order cannot leak configuration.
+std::string digest_under(const CorpusRegistry& reg, const CorpusEntry& e, SlotWidth cap,
+                         std::size_t threads) {
+  const detail::SlotWidthCap width(cap);
+  ThreadPool::set_global_threads(threads);
+  std::string sha = compute_corpus_digest(reg, e).sha_hex;
+  ThreadPool::set_global_threads(1);
+  return sha;
 }
 
 /// Compare one circuit's digest against its golden file; with
@@ -157,17 +146,15 @@ TEST(CorpusGolden, ReadWriteRoundTrip) {
 
 // ---- tier-1: invariance matrix on the s1423 anchor + fast-tier goldens ----
 
-TEST(CorpusDigest, S1423InvariantAcrossThreadsWidthsRepack) {
+TEST(CorpusDigest, S1423InvariantAcrossThreadsAndWidths) {
   const CorpusRegistry& reg = CorpusRegistry::global();
   const CorpusEntry* e = reg.find("s1423");
   ASSERT_NE(e, nullptr);
-  const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
-  EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 4), ref) << "threads changed the digest";
+  const std::string ref = digest_under(reg, *e, SlotWidth::W512, 1);
+  EXPECT_EQ(digest_under(reg, *e, SlotWidth::W512, 4), ref) << "threads changed the digest";
   EXPECT_EQ(digest_under(reg, *e, SlotWidth::W64, 4), ref) << "64-bit slots changed the digest";
   EXPECT_EQ(digest_under(reg, *e, SlotWidth::W256, 2), ref)
       << "256-bit slots changed the digest";
-  EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 1, /*repack=*/false), ref)
-      << "repacking off changed the digest";
 }
 
 TEST(CorpusDigest, FastTierMatchesGolden) {
@@ -204,29 +191,24 @@ TEST(CorpusDigestSlow, AnchorsInvariantAcrossFullMatrix) {
   constexpr std::array<SlotWidth, 3> kWidths = {SlotWidth::W64, SlotWidth::W256,
                                                 SlotWidth::W512};
 
-  // s1423: every width at every thread count, repacking on and off
-  // (a SIMD width the CPU lacks runs the baseline kernel body — still a valid
-  // run of the width-dispatch path).
+  // s1423: every width cap at every thread count.
   {
     const CorpusEntry* e = reg.find("s1423");
     ASSERT_NE(e, nullptr);
-    const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
+    const std::string ref = digest_under(reg, *e, SlotWidth::W512, 1);
     for (const SlotWidth width : kWidths)
       for (const std::size_t threads : kThreads)
-        for (const bool repack : {true, false})
-          EXPECT_EQ(digest_under(reg, *e, width, threads, repack), ref)
-              << "s1423 width=" << slot_width_bits(width) << " threads=" << threads
-              << " repack=" << repack;
+        EXPECT_EQ(digest_under(reg, *e, width, threads), ref)
+            << "s1423 width cap=" << slot_width_bits(width) << " threads=" << threads;
   }
 
   // s5378: the matrix extremes.
   {
     const CorpusEntry* e = reg.find("s5378");
     ASSERT_NE(e, nullptr);
-    const std::string ref = digest_under(reg, *e, SlotWidth::Auto, 1);
-    EXPECT_EQ(digest_under(reg, *e, SlotWidth::Auto, 8), ref);
-    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W64, 2, /*repack=*/false), ref);
-    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W512, 8, /*repack=*/false), ref);
+    const std::string ref = digest_under(reg, *e, SlotWidth::W512, 1);
+    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W512, 8), ref);
+    EXPECT_EQ(digest_under(reg, *e, SlotWidth::W64, 2), ref);
   }
 }
 

@@ -1,17 +1,13 @@
-// Live-fault batch repacking (DESIGN.md §5j) is a pure work knob: at wave
-// boundaries the sessions repack surviving faults into dense batches and
-// auto-narrow the slot word, but a fault's detection is a function of its
-// own slot alone, so detections, detection times, committed sequences and
-// corpus digests must be bit-identical with repacking on or off, at every
-// slot width and every thread count. These tests pin that down for both
-// streaming sessions (chunked advance + snapshot/restore across a repack),
-// assert the layer actually fires and reclaims lanes, and check the fast
-// corpus tier's golden digests against the repack-off path.
-//
-// Under the forced CI jobs (UNISCAN_REPACK=0 / UNISCAN_SLOT_WIDTH=64) the
-// environment override outranks set_global_repack, degenerating parts of
-// the matrix to off-vs-off — which is the point there; the firing test
-// skips itself when it cannot turn repacking on.
+// Live-fault batch repacking (DESIGN.md §5j) moves the surviving faults of
+// a streaming session into dense batches and narrower slot words between
+// advances. A fault's detection is a function of its own machine alone, so
+// a chunked session must report exactly what the scalar reference simulator
+// (tests/reference_sim.hpp, which shares no code with the kernel) computes
+// over the whole sequence: the gain of every chunk, every detection time,
+// and for every undetected fault the (good, faulty) state pair and the
+// launch history. These tests check that for both streaming sessions under
+// width caps 64/256/512 and 1/4 threads, assert the layer actually fires
+// and reclaims lanes, and replay a snapshot restored across a repack.
 //
 // The same file builds twice: the default (tier1) matrix in uniscan_tests,
 // and a seed-reproducible fuzz sweep in uniscan_slow_tests
@@ -21,13 +17,13 @@
 #include <array>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "corpus/corpus.hpp"
-#include "corpus/golden.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/transition_fault.hpp"
 #include "obs/counters.hpp"
+#include "reference_sim.hpp"
 #include "scan/scan_insertion.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_sim.hpp"
@@ -41,33 +37,12 @@
 namespace uniscan {
 namespace {
 
-constexpr std::array<SlotWidth, 4> kWidths = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512,
-                                              SlotWidth::Auto};
-constexpr std::array<std::size_t, 4> kThreads = {1, 2, 4, 8};
-
-struct RepackGuard {
-  explicit RepackGuard(bool on) { set_global_repack(on); }
-  ~RepackGuard() { set_global_repack(true); }
-};
-
-struct WidthGuard {
-  explicit WidthGuard(SlotWidth w) { set_global_slot_width(w); }
-  ~WidthGuard() { set_global_slot_width(SlotWidth::Auto); }
-};
+constexpr std::array<SlotWidth, 3> kWidths = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512};
 
 struct PoolGuard {
   explicit PoolGuard(std::size_t n) { ThreadPool::set_global_threads(n); }
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
-
-void expect_same_detections(const std::vector<DetectionRecord>& got,
-                            const std::vector<DetectionRecord>& want, const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].detected, want[i].detected) << what << " fault " << i;
-    EXPECT_EQ(got[i].time, want[i].time) << what << " fault " << i;
-  }
-}
 
 TestSequence make_random_sequence(const Netlist& nl, std::size_t length, std::uint64_t seed) {
   Rng rng(seed);
@@ -80,13 +55,84 @@ TestSequence make_random_sequence(const Netlist& nl, std::size_t length, std::ui
   return seq;
 }
 
-/// Reference trajectory of a chunked session run: per-chunk gains plus the
-/// final detection records.
+/// The reference simulator's view of a chunked run: every fault simulated
+/// alone over the concatenated chunks, and each detection credited to the
+/// chunk holding its first detection frame.
+struct Reference {
+  std::vector<std::size_t> gains;
+  std::vector<ref::Result> results;
+};
+
+template <class FaultT>
+Reference reference_run(const Netlist& nl, std::span<const FaultT> faults,
+                        const std::vector<TestSequence>& chunks) {
+  TestSequence whole(nl.num_inputs());
+  std::vector<std::size_t> chunk_end;
+  for (const TestSequence& c : chunks) {
+    whole.append_sequence(c);
+    chunk_end.push_back(whole.length());
+  }
+  Reference r;
+  r.gains.assign(chunks.size(), 0);
+  for (const FaultT& f : faults) {
+    const ref::Result& res = r.results.emplace_back(ref::simulate(nl, f, whole));
+    if (!res.detected) continue;
+    std::size_t k = 0;
+    while (chunk_end[k] <= res.time) ++k;
+    ++r.gains[k];
+  }
+  return r;
+}
+
+/// Advance a fresh `Session` chunk by chunk and compare it with the
+/// reference: every chunk's gain, every detection time, and every
+/// undetected fault's final state pair (and, for transition faults, its
+/// launch history).
+template <class Session, class FaultT>
+void expect_session_matches_reference(const Netlist& nl, std::span<const FaultT> faults,
+                                      const std::vector<TestSequence>& chunks,
+                                      const Reference& want) {
+  constexpr bool kTransition = std::is_same_v<FaultT, TransitionFault>;
+  Session session(nl, faults);
+  for (std::size_t k = 0; k < chunks.size(); ++k)
+    ASSERT_EQ(session.advance(chunks[k]), want.gains[k]) << "chunk " << k;
+  State good, faulty;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const ref::Result& r = want.results[i];
+    ASSERT_EQ(session.is_detected(i), r.detected) << "fault " << i;
+    if (r.detected) {
+      ASSERT_EQ(session.detections()[i].time, r.time) << "fault " << i;
+      continue;
+    }
+    V3 prev = V3::X;
+    session.pair_state(i, good, faulty, &prev);
+    ASSERT_EQ(good, r.good_state) << "fault " << i;
+    ASSERT_EQ(faulty, r.faulty_state) << "fault " << i;
+    if (kTransition) {
+      ASSERT_EQ(prev, r.prev_driven) << "fault " << i;
+    }
+  }
+}
+
+#ifndef UNISCAN_SLOW_FUZZ
+
+void expect_same_detections(const std::vector<DetectionRecord>& got,
+                            const std::vector<DetectionRecord>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].detected, want[i].detected) << what << " fault " << i;
+    EXPECT_EQ(got[i].time, want[i].time) << what << " fault " << i;
+  }
+}
+
+/// Trajectory of a chunked session run: per-chunk gains plus the final
+/// detection records.
 struct Trajectory {
   std::vector<std::size_t> gains;
   std::vector<DetectionRecord> detections;
 };
 
+/// Advance a fresh `Session` chunk by chunk.
 template <class Session, class FaultSpan>
 Trajectory run_session(const Netlist& nl, const FaultSpan& faults,
                        const std::vector<TestSequence>& chunks) {
@@ -96,8 +142,6 @@ Trajectory run_session(const Netlist& nl, const FaultSpan& faults,
   t.detections = session.detections();
   return t;
 }
-
-#ifndef UNISCAN_SLOW_FUZZ
 
 /// Big enough to span several 256-bit batches, so repacking has batches to
 /// merge and widths to narrow through.
@@ -112,38 +156,26 @@ Netlist make_wide_circuit(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-1: repack on/off × width × threads against the repack-off 64-bit
-// single-threaded reference, both fault models.
+// Tier-1: width cap × threads against the reference, both fault models.
 // ---------------------------------------------------------------------------
 
 TEST(RepackEquivalence, SessionMatrixStuckAt) {
   const ScanCircuit sc = insert_scan(make_wide_circuit(3));
   const FaultList fl = FaultList::collapsed(sc.netlist);
   ASSERT_GT(fl.size(), 255u) << "circuit too small to span 256-bit batches";
+  const std::span<const Fault> faults(fl.faults());
   std::vector<TestSequence> chunks;
   for (std::uint64_t k = 0; k < 6; ++k)
     chunks.push_back(make_random_sequence(sc.netlist, 16, 101 + k));
+  const Reference want = reference_run(sc.netlist, faults, chunks);
 
-  Trajectory want;
-  {
-    const RepackGuard rg(false);
-    const WidthGuard wg(SlotWidth::W64);
-    want = run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
-  }
-
-  for (const bool repack : {false, true}) {
-    for (const SlotWidth w : kWidths) {
-      for (const std::size_t n : kThreads) {
-        SCOPED_TRACE(std::string("repack=") + (repack ? "on" : "off") +
-                     " width=" + std::to_string(slot_width_bits(w)) +
-                     " threads=" + std::to_string(n));
-        const RepackGuard rg(repack);
-        const WidthGuard wg(w);
-        const PoolGuard pg(n);
-        const Trajectory got = run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
-        EXPECT_EQ(got.gains, want.gains);
-        expect_same_detections(got.detections, want.detections, "stuck-at session");
-      }
+  for (const SlotWidth w : kWidths) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("width cap=" + std::to_string(slot_width_bits(w)) +
+                   " threads=" + std::to_string(n));
+      const detail::SlotWidthCap cap(w);
+      const PoolGuard pg(n);
+      expect_session_matches_reference<FaultSimSession>(sc.netlist, faults, chunks, want);
     }
   }
 }
@@ -152,46 +184,30 @@ TEST(RepackEquivalence, SessionMatrixTransition) {
   const ScanCircuit sc = insert_scan(make_wide_circuit(5));
   const auto faults = enumerate_transition_faults(sc.netlist);
   ASSERT_GT(faults.size(), 255u);
+  const std::span<const TransitionFault> tf(faults);
   std::vector<TestSequence> chunks;
   for (std::uint64_t k = 0; k < 6; ++k)
     chunks.push_back(make_random_sequence(sc.netlist, 16, 211 + k));
+  const Reference want = reference_run(sc.netlist, tf, chunks);
 
-  Trajectory want;
-  {
-    const RepackGuard rg(false);
-    const WidthGuard wg(SlotWidth::W64);
-    want = run_session<TransitionSimSession>(sc.netlist, std::span<const TransitionFault>(faults),
-                                             chunks);
-  }
-
-  for (const bool repack : {false, true}) {
-    for (const SlotWidth w : kWidths) {
-      for (const std::size_t n : kThreads) {
-        SCOPED_TRACE(std::string("repack=") + (repack ? "on" : "off") +
-                     " width=" + std::to_string(slot_width_bits(w)) +
-                     " threads=" + std::to_string(n));
-        const RepackGuard rg(repack);
-        const WidthGuard wg(w);
-        const PoolGuard pg(n);
-        const Trajectory got = run_session<TransitionSimSession>(
-            sc.netlist, std::span<const TransitionFault>(faults), chunks);
-        EXPECT_EQ(got.gains, want.gains);
-        expect_same_detections(got.detections, want.detections, "transition session");
-      }
+  for (const SlotWidth w : kWidths) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("width cap=" + std::to_string(slot_width_bits(w)) +
+                   " threads=" + std::to_string(n));
+      const detail::SlotWidthCap cap(w);
+      const PoolGuard pg(n);
+      expect_session_matches_reference<TransitionSimSession>(sc.netlist, tf, chunks, want);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// The layer must actually fire — an equivalence suite that silently tests
-// off-vs-off proves nothing — and must only shed work, never add it.
+// The layer must actually fire: a reference check of sessions that never
+// repack proves nothing about repacking.
 // ---------------------------------------------------------------------------
 
-TEST(RepackEquivalence, RepackFiresAndShedsWork) {
-  {
-    const RepackGuard probe(true);
-    if (!global_repack()) GTEST_SKIP() << "repacking forced off by environment";
-  }
+TEST(RepackEquivalence, RepackFiresAndReclaimsLanes) {
+  if (!obs::enabled()) GTEST_SKIP() << "counters disabled";
   const ScanCircuit sc = insert_scan(make_wide_circuit(7));
   const FaultList fl = FaultList::collapsed(sc.netlist);
   ASSERT_GT(fl.size(), 255u);
@@ -199,22 +215,11 @@ TEST(RepackEquivalence, RepackFiresAndShedsWork) {
   for (std::uint64_t k = 0; k < 10; ++k)
     chunks.push_back(make_random_sequence(sc.netlist, 24, 301 + k));
 
-  std::uint64_t evals_off = 0;
-  {
-    const RepackGuard rg(false);
-    const obs::CounterScope scope;
-    run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
-    evals_off = scope.delta(obs::Counter::GateEvals);
-  }
-
-  const RepackGuard rg(true);
   const obs::CounterScope scope;
   run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
   EXPECT_GE(scope.delta(obs::Counter::RepackEvents), 1u)
       << "random chunks detected enough faults that at least one repack must fire";
   EXPECT_GE(scope.delta(obs::Counter::LanesReclaimed), 1u);
-  EXPECT_LE(scope.delta(obs::Counter::GateEvals), evals_off)
-      << "repacking may only shed simulation work";
 }
 
 // ---------------------------------------------------------------------------
@@ -239,12 +244,18 @@ TEST(RepackEquivalence, SnapshotRestoresAcrossRepack) {
     want.detections = ref.detections();
   }
 
-  // Detour: capture after head, run the whole tail (repacks happen when the
-  // layer is on), restore, replay the tail. The replay must be identical.
+  // Detour: capture after head, run the whole tail (repacks happen along
+  // the way), restore, replay the tail. The replay must be identical.
   FaultSimSession session(sc.netlist, fl.faults());
   session.advance(head);
   const auto snap = session.snapshot();
-  for (const TestSequence& c : tail) session.advance(c);
+  {
+    const obs::CounterScope scope;
+    for (const TestSequence& c : tail) session.advance(c);
+    if (obs::enabled()) {
+      EXPECT_GE(scope.delta(obs::Counter::RepackEvents), 1u) << "no repack to restore across";
+    }
+  }
   session.restore(snap);
   Trajectory got;
   for (const TestSequence& c : tail) got.gains.push_back(session.advance(c));
@@ -257,41 +268,17 @@ TEST(RepackEquivalence, SnapshotRestoresAcrossRepack) {
   EXPECT_THROW(other.restore(snap), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Fast-tier golden digests: the repack-off path must reproduce the same
-// checked-in digests the default (repack-on) path is pinned to by
-// CorpusDigest.FastTierMatchesGolden. Three circuits keep the tier-1 cost
-// bounded; the slow corpus sweep covers the rest via the default path.
-// ---------------------------------------------------------------------------
-
-TEST(RepackEquivalence, FastTierDigestsUnchangedWithRepackOff) {
-  const CorpusRegistry& reg = CorpusRegistry::global();
-  const auto fast = reg.tier(CorpusTier::Fast);
-  ASSERT_FALSE(fast.empty());
-  const RepackGuard rg(false);
-  std::size_t checked = 0;
-  for (const CorpusEntry& e : fast) {
-    if (checked == 3) break;
-    SCOPED_TRACE(e.name);
-    const std::string want = read_golden_sha(reg.golden_path(e));
-    ASSERT_FALSE(want.empty()) << "no golden digest for " << e.name;
-    EXPECT_EQ(compute_corpus_digest(reg, e).sha_hex, want)
-        << e.name << ": --repack=off changed pipeline behavior";
-    ++checked;
-  }
-}
-
 #else  // UNISCAN_SLOW_FUZZ
 
 // ---------------------------------------------------------------------------
 // Slow tier: seed-reproducible fuzz — random circuits, random chunk
-// schedules, both sessions, repack on/off × widths against the repack-off
-// 64-bit reference. Every case is a pure function of the seed.
+// schedules, both sessions under every width cap against the reference.
+// Every case is a pure function of the seed.
 // ---------------------------------------------------------------------------
 
 class RepackFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(RepackFuzz, SessionsMatchWithRepackOnAndOff) {
+TEST_P(RepackFuzz, SessionsMatchReference) {
   const std::uint64_t seed = GetParam();
   SynthSpec spec;
   spec.name = "repackfuzz" + std::to_string(seed);
@@ -301,38 +288,24 @@ TEST_P(RepackFuzz, SessionsMatchWithRepackOnAndOff) {
   spec.seed = seed * 2654435761u;
   const ScanCircuit sc = insert_scan(generate_synthetic(spec));
   const FaultList fl = FaultList::collapsed(sc.netlist);
+  const std::span<const Fault> faults(fl.faults());
   const auto tfaults = enumerate_transition_faults(sc.netlist);
+  const std::span<const TransitionFault> tf(tfaults);
 
   Rng rng(seed ^ 0x5eedf00dULL);
   std::vector<TestSequence> chunks;
   const std::size_t num_chunks = 4 + rng.next() % 5;
   for (std::size_t k = 0; k < num_chunks; ++k)
     chunks.push_back(make_random_sequence(sc.netlist, 8 + rng.next() % 25, rng.next()));
+  const Reference want_sa = reference_run(sc.netlist, faults, chunks);
+  const Reference want_tr = reference_run(sc.netlist, tf, chunks);
 
-  Trajectory want_sa, want_tr;
-  {
-    const RepackGuard rg(false);
-    const WidthGuard wg(SlotWidth::W64);
-    want_sa = run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
-    want_tr = run_session<TransitionSimSession>(sc.netlist,
-                                                std::span<const TransitionFault>(tfaults), chunks);
-  }
-
-  for (const bool repack : {false, true}) {
-    for (const SlotWidth w : kWidths) {
-      SCOPED_TRACE(std::string("repack=") + (repack ? "on" : "off") +
-                   " width=" + std::to_string(slot_width_bits(w)));
-      const RepackGuard rg(repack);
-      const WidthGuard wg(w);
-      const PoolGuard pg(4);
-      const Trajectory sa = run_session<FaultSimSession>(sc.netlist, fl.faults(), chunks);
-      EXPECT_EQ(sa.gains, want_sa.gains);
-      expect_same_detections(sa.detections, want_sa.detections, "stuck-at fuzz");
-      const Trajectory tr = run_session<TransitionSimSession>(
-          sc.netlist, std::span<const TransitionFault>(tfaults), chunks);
-      EXPECT_EQ(tr.gains, want_tr.gains);
-      expect_same_detections(tr.detections, want_tr.detections, "transition fuzz");
-    }
+  const PoolGuard pg(4);
+  for (const SlotWidth w : kWidths) {
+    SCOPED_TRACE("width cap=" + std::to_string(slot_width_bits(w)));
+    const detail::SlotWidthCap cap(w);
+    expect_session_matches_reference<FaultSimSession>(sc.netlist, faults, chunks, want_sa);
+    expect_session_matches_reference<TransitionSimSession>(sc.netlist, tf, chunks, want_tr);
   }
 }
 

@@ -1,13 +1,14 @@
 // The simulation slot width (64/256/512-bit words — see sim/slot_word.hpp)
-// is a pure throughput knob: batches never interact, and every per-fault
-// result is a function of that fault's slot alone, so detection records,
-// latch records, compaction output and session state must be bit-identical
-// at every width and every thread count. These tests pin that down by
-// running the 64-bit single-threaded configuration as the reference and
-// sweeping the full width × thread matrix against it, for both fault
-// models, the one-shot simulators, the omission engine, and the streaming
-// sessions (including the snapshot width-tagging contract), and by running
-// the kernel's AVX2 / AVX-512 entries against its baseline body.
+// only changes how much work a run does: batches never interact, and every
+// per-fault result is a function of that fault's slot alone, so detection
+// records, latch records, compaction output and session state must be
+// bit-identical at every width and every thread count. These tests pin that
+// down by running the uncapped single-threaded configuration as the
+// reference and sweeping the width-cap × thread matrix against it (the
+// detail::SlotWidthCap seam; the engine still narrows below a cap), for
+// both fault models, the one-shot simulators, compaction, and the
+// streaming sessions (including the snapshot ownership contract), and by
+// running the kernel's AVX2 / AVX-512 entries against its baseline body.
 //
 // The same file builds twice: the default (tier1) matrix in uniscan_tests,
 // and a wider fuzz-circuit matrix in uniscan_slow_tests
@@ -39,14 +40,6 @@ namespace {
 
 constexpr std::array<SlotWidth, 3> kWidths = {SlotWidth::W64, SlotWidth::W256, SlotWidth::W512};
 constexpr std::array<std::size_t, 4> kThreads = {1, 2, 4, 8};
-
-/// Forces a slot width for the enclosing scope; restores Auto on exit.
-/// (The UNISCAN_SLOT_WIDTH environment override outranks this — the forced
-/// CI job degenerates the matrix to 64-vs-64, which is the point there.)
-struct WidthGuard {
-  explicit WidthGuard(SlotWidth w) { set_global_slot_width(w); }
-  ~WidthGuard() { set_global_slot_width(SlotWidth::Auto); }
-};
 
 struct PoolGuard {
   explicit PoolGuard(std::size_t n) { ThreadPool::set_global_threads(n); }
@@ -121,7 +114,7 @@ TEST(WidthEquivalence, StuckAtRunMatrix) {
     for (const std::size_t n : kThreads) {
       SCOPED_TRACE("width=" + std::to_string(slot_width_bits(w)) + " threads=" +
                    std::to_string(n));
-      const WidthGuard wg(w);
+      const detail::SlotWidthCap cap(w);
       const PoolGuard pg(n);
       std::vector<LatchRecord> latched;
       expect_same_detections(sim.run(seq, fl.faults(), &latched), want, "stuck-at");
@@ -144,7 +137,7 @@ TEST(WidthEquivalence, TransitionRunMatrix) {
     for (const std::size_t n : kThreads) {
       SCOPED_TRACE("width=" + std::to_string(slot_width_bits(w)) + " threads=" +
                    std::to_string(n));
-      const WidthGuard wg(w);
+      const detail::SlotWidthCap cap(w);
       const PoolGuard pg(n);
       expect_same_detections(sim.run(seq, faults), want, "transition");
     }
@@ -152,60 +145,106 @@ TEST(WidthEquivalence, TransitionRunMatrix) {
 }
 
 // ---------------------------------------------------------------------------
-// Compaction: the omission engine's batches, checkpoints and fail-fast waves
-// all follow the slot width; the committed output must not.
+// Compaction: the one-shot gradings around the omission engine follow the
+// width cap and its fail-fast waves the thread count; the committed output
+// must follow neither.
 // ---------------------------------------------------------------------------
 
-TEST(WidthEquivalence, OmissionCompactionMatrix) {
-  const ScanCircuit sc = insert_scan(make_s27());
-  const FaultList fl = FaultList::collapsed(sc.netlist);
-  const AtpgResult atpg = generate_tests(sc, fl, {});
-
-  const CompactionResult want = omission_compact(sc.netlist, atpg.sequence, fl.faults(), {});
-
+void expect_omission_invariant(const Netlist& nl, const TestSequence& seq,
+                               std::span<const Fault> faults) {
+  const CompactionResult want = omission_compact(nl, seq, faults, {});
   for (const SlotWidth w : kWidths) {
     for (const std::size_t n : kThreads) {
       SCOPED_TRACE("width=" + std::to_string(slot_width_bits(w)) + " threads=" +
                    std::to_string(n));
-      const WidthGuard wg(w);
+      const detail::SlotWidthCap cap(w);
       const PoolGuard pg(n);
-      const CompactionResult got = omission_compact(sc.netlist, atpg.sequence, fl.faults(), {});
+      const CompactionResult got = omission_compact(nl, seq, faults, {});
       EXPECT_EQ(got.sequence, want.sequence);
       EXPECT_EQ(got.vectors_removed, want.vectors_removed);
       EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(got.extra_detected, want.extra_detected);
     }
   }
 }
 
-/// Batch advances omission_compact spends in its engine under the current
-/// width: the total minus its two one-shot gradings (before and after),
-/// which run at the one-shot simulator's own width.
+TEST(WidthEquivalence, OmissionCompactionMatrix) {
+  // s27's ATPG sequence, and a random sequence over a fault list wide
+  // enough that the gradings run 256- and 512-bit words under those caps.
+  const ScanCircuit sc = insert_scan(make_s27());
+  const FaultList fl = FaultList::collapsed(sc.netlist);
+  const AtpgResult atpg = generate_tests(sc, fl, {});
+  expect_omission_invariant(sc.netlist, atpg.sequence, fl.faults());
+
+  const ScanCircuit wide = insert_scan(make_wide_circuit());
+  const FaultList wfl = FaultList::collapsed(wide.netlist);
+  ASSERT_GT(wfl.size(), 255u);
+  expect_omission_invariant(wide.netlist, make_random_sequence(wide.netlist, 48, 11),
+                            wfl.faults());
+}
+
+/// Batch advances omission_compact spends in its engine: the total minus
+/// its two one-shot gradings (before and after), which run at the one-shot
+/// simulator's own width under the current cap.
 std::uint64_t omission_engine_batches(const Netlist& nl, const TestSequence& seq,
                                       std::span<const Fault> faults) {
-  const std::size_t per = slot_width_bits(resolved_slot_width_for(faults.size())) - 1;
+  const std::size_t per =
+      slot_width_bits(efficient_slot_width(faults.size(), widest_slot_width())) - 1;
   const obs::CounterScope scope;
   omission_compact(nl, seq, faults, {});
   return scope.delta(obs::Counter::BatchesRun) - 2 * ((faults.size() + per - 1) / per);
 }
 
-TEST(WidthEquivalence, OmissionEngineKeepsNarrowWordsUnderAuto) {
-  // Under Auto the omission engine runs 64-bit batches even where the CPU
-  // runs wider words; an explicit width still reaches it.
-  for (const SlotWidth w : {SlotWidth::W64, SlotWidth::W256}) {
-    const WidthGuard probe(w);
-    if (resolved_slot_width() != w) GTEST_SKIP() << "width forced by environment";
-  }
+TEST(WidthEquivalence, OmissionEngineRunsSixtyFourBitWordsUnderEveryCap) {
+  // The omission engine runs 64-bit batches whatever the cap; only the
+  // gradings around it widen. A wider engine word would run fewer batches.
   if (!obs::enabled()) GTEST_SKIP() << "counters disabled";
   const ScanCircuit sc = insert_scan(make_wide_circuit());
   const FaultList fl = FaultList::collapsed(sc.netlist);
+  ASSERT_GT(fl.size(), 255u);
   const TestSequence seq = make_random_sequence(sc.netlist, 48, 11);
-  const auto engine_batches = [&](SlotWidth w) {
-    const WidthGuard wg(w);
-    return omission_engine_batches(sc.netlist, seq, fl.faults());
-  };
-  const std::uint64_t narrow = engine_batches(SlotWidth::W64);
-  EXPECT_EQ(engine_batches(SlotWidth::Auto), narrow);
-  EXPECT_LT(engine_batches(SlotWidth::W256), narrow);
+  std::uint64_t narrow = 0;
+  {
+    const detail::SlotWidthCap cap(SlotWidth::W64);
+    narrow = omission_engine_batches(sc.netlist, seq, fl.faults());
+  }
+  EXPECT_GT(narrow, 0u);
+  for (const SlotWidth w : {SlotWidth::W256, SlotWidth::W512}) {
+    SCOPED_TRACE("width cap=" + std::to_string(slot_width_bits(w)));
+    const detail::SlotWidthCap cap(w);
+    EXPECT_EQ(omission_engine_batches(sc.netlist, seq, fl.faults()), narrow);
+  }
+  EXPECT_EQ(omission_engine_batches(sc.netlist, seq, fl.faults()), narrow);
+}
+
+TEST(WidthEquivalence, SlotWidthCapLowersWidestAndRestores) {
+  const SlotWidth native = native_slot_width();
+  EXPECT_EQ(widest_slot_width(), native);
+  {
+    const detail::SlotWidthCap outer(SlotWidth::W256);
+    EXPECT_EQ(widest_slot_width(), std::min(native, SlotWidth::W256));
+    {
+      const detail::SlotWidthCap inner(SlotWidth::W64);
+      EXPECT_EQ(widest_slot_width(), SlotWidth::W64);
+    }
+    EXPECT_EQ(widest_slot_width(), std::min(native, SlotWidth::W256));
+    // A cap above the CPU's own width does not raise it.
+    const detail::SlotWidthCap high(SlotWidth::W512);
+    EXPECT_EQ(widest_slot_width(), native);
+  }
+  EXPECT_EQ(widest_slot_width(), native);
+
+  // Under a cap the engine still narrows by fault count, and never goes
+  // wider than the cap.
+  for (const SlotWidth cap : kWidths) {
+    for (const std::size_t live : {0u, 1u, 63u, 64u, 255u, 256u, 511u, 512u, 5110u}) {
+      EXPECT_LE(slot_width_bits(efficient_slot_width(live, cap)), slot_width_bits(cap))
+          << "live=" << live;
+    }
+    EXPECT_EQ(efficient_slot_width(63, cap), SlotWidth::W64);
+  }
+  EXPECT_EQ(efficient_slot_width(5110, SlotWidth::W512), SlotWidth::W512);
+  EXPECT_EQ(efficient_slot_width(5110, SlotWidth::W256), SlotWidth::W256);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +335,7 @@ TEST(WidthEquivalence, SessionAdvanceMatrix) {
     for (const std::size_t n : kThreads) {
       SCOPED_TRACE("width=" + std::to_string(slot_width_bits(w)) + " threads=" +
                    std::to_string(n));
-      const WidthGuard wg(w);
+      const detail::SlotWidthCap cap(w);
       const PoolGuard pg(n);
       FaultSimSession session(sc.netlist, fl.faults());
       EXPECT_EQ(session.advance(chunk1), want_first);
@@ -310,31 +349,20 @@ TEST(WidthEquivalence, SessionAdvanceMatrix) {
 }
 
 TEST(WidthEquivalence, SnapshotRejectsWidthMismatch) {
-  // A snapshot is only valid for sessions of the width it was captured at:
-  // restoring it into a session resolved to a different width must throw,
-  // not silently reinterpret the payload.
-  const ScanCircuit sc = insert_scan(make_s27());
+  // A snapshot is only valid for the session that captured it: restoring
+  // it into another session — here one whose fault population runs a wider
+  // word on a SIMD CPU — must throw, not silently reinterpret the payload.
+  const ScanCircuit sc = insert_scan(make_wide_circuit());
   const FaultList fl = FaultList::collapsed(sc.netlist);
   const TestSequence chunk = make_random_sequence(sc.netlist, 8, 31);
 
-  // UNISCAN_SLOT_WIDTH trumps set_global_slot_width, so the guards below
-  // would not actually produce two different widths. Probe rather than
-  // checking the ambient width: Auto legitimately resolves wide on SIMD
-  // builds and the test must still run there.
-  {
-    const WidthGuard probe(SlotWidth::W64);
-    if (resolved_slot_width() != SlotWidth::W64)
-      GTEST_SKIP() << "width forced by environment";
-  }
-
   FaultSimSession::Snapshot snap64;
   {
-    const WidthGuard wg(SlotWidth::W64);
+    const detail::SlotWidthCap cap(SlotWidth::W64);
     FaultSimSession session(sc.netlist, fl.faults());
     session.advance(chunk);
     snap64 = session.snapshot();
   }
-  const WidthGuard wg(SlotWidth::W256);
   FaultSimSession session(sc.netlist, fl.faults());
   EXPECT_THROW(session.restore(snap64), std::invalid_argument);
   EXPECT_THROW(session.restore(FaultSimSession::Snapshot{}), std::invalid_argument);
@@ -365,7 +393,7 @@ TEST_P(WidthFuzz, RandomCircuitsMatchAcrossWidths) {
   const PoolGuard pg(4);
   for (const SlotWidth w : kWidths) {
     SCOPED_TRACE("width=" + std::to_string(slot_width_bits(w)));
-    const WidthGuard wg(w);
+    const detail::SlotWidthCap cap(w);
     expect_same_detections(sim.run(seq, fl.faults()), want, spec.name.c_str());
   }
 }

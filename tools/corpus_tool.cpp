@@ -21,7 +21,6 @@
 #include "core/exit_codes.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/golden.hpp"
-#include "sim/engine.hpp"
 #include "util/sha256.hpp"
 #include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
@@ -142,10 +141,6 @@ int cmd_golden(const CorpusRegistry& reg, const std::string& sel, bool regen) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const std::string err = engine_env_error(); !err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return kExitUsage;
-  }
   std::string corpus_dir;
   std::size_t threads = 1;
   std::vector<std::string> rest;
@@ -158,14 +153,7 @@ int main(int argc, char** argv) {
       if (!n) return kExitUsage;
       threads = *n;
     } else if (arg == "--text") print_text = true;
-    else if (arg.rfind("--slot-width=", 0) == 0) {
-      SlotWidth width;
-      if (!parse_slot_width(arg.substr(13), width)) {
-        std::fprintf(stderr, "unknown slot width: %s\n", arg.c_str() + 13);
-        return kExitUsage;
-      }
-      set_global_slot_width(width);
-    } else if (arg.rfind("--", 0) == 0) {
+    else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return kExitUsage;
     } else rest.push_back(arg);

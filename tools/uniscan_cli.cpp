@@ -23,11 +23,8 @@
 // --json reports errors as a one-line {"error": ...} object on stdout;
 // --metrics appends one {"schema_version": 2, "counters": {...},
 // "slot_width": N} line on stdout with the run's telemetry counter totals
-// (same keys as the bench JSON's `counters` object) and the resolved
-// simulation slot width; --slot-width=64|256|512|auto picks the slot width
-// (default auto: widest SIMD the build and CPU support); --repack=on|off
-// toggles live-fault repacking in the streaming sessions (default on,
-// results bit-identical either way, DESIGN.md §5j); --trace=FILE
+// (same keys as the bench JSON's `counters` object) and the widest
+// simulation slot width the CPU runs; --trace=FILE
 // writes a Chrome trace_event JSON of the run (load in chrome://tracing or
 // Perfetto); --threads=N sizes the worker pool (default 1; results are
 // bit-identical at any count).
@@ -72,8 +69,6 @@ struct CliArgs {
   bool json = false;
   bool metrics = false;   // --metrics: counter-totals JSON line on stdout
   std::string trace;      // --trace=FILE: Chrome trace_event output
-  SlotWidth slot_width = SlotWidth::Auto;  // --slot-width=64|256|512|auto
-  bool repack = true;     // --repack=on|off: live-fault repacking (§5j)
   double time_budget_secs = 0;
   XFillPolicy fill = XFillPolicy::RandomFill;
   std::size_t threads = 0;  // --threads=N: global pool size (0 = keep the default)
@@ -118,15 +113,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
       a.metrics = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
       a.trace = arg.substr(8);
-    } else if (arg.rfind("--slot-width=", 0) == 0) {
-      if (!parse_slot_width(arg.substr(13), a.slot_width)) {
-        std::fprintf(stderr, "unknown slot width: %s (64|256|512|auto)\n", arg.c_str() + 13);
-        return std::nullopt;
-      }
-    } else if (arg == "--repack=on") {
-      a.repack = true;
-    } else if (arg == "--repack=off") {
-      a.repack = false;
     } else if (arg.rfind("--time-budget=", 0) == 0) {
       if (!take(a.time_budget_secs, flag_number(arg))) return std::nullopt;
     } else if (arg == "--skip-restoration") {
@@ -329,7 +315,7 @@ void report_error(bool as_json, const char* what) {
 
 /// One {"schema_version": 2, "counters": {...}, "slot_width": N} line: the
 /// process-wide telemetry totals, keyed like the bench JSON's `counters`
-/// object, plus the slot width the run resolved to.
+/// object, plus the widest slot width the simulators use.
 void print_metrics_line() {
   std::string out = "{\"schema_version\": 2, \"counters\": {";
   for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
@@ -340,7 +326,7 @@ void print_metrics_line() {
     out += std::to_string(obs::total(static_cast<obs::Counter>(i)));
   }
   out += "}, \"slot_width\": ";
-  out += std::to_string(slot_width_bits(resolved_slot_width()));
+  out += std::to_string(slot_width_bits(widest_slot_width()));
   out += "}";
   std::printf("%s\n", out.c_str());
 }
@@ -366,15 +352,9 @@ int run_command(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const std::string err = engine_env_error(); !err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return kExitUsage;
-  }
   const auto args = parse(argc, argv);
   if (!args) return usage();
-  set_global_slot_width(args->slot_width);
   if (args->threads > 0) ThreadPool::set_global_threads(args->threads);
-  set_global_repack(args->repack);
   if (!args->trace.empty()) obs::Tracer::start(args->trace);
   int rc;
   try {
