@@ -29,9 +29,13 @@
 //    (latest-detected) first, so a batch whose every fault is detected
 //    before the trial position needs no trial at all: erasing vector t
 //    cannot disturb detections at frames < t.
-//  * Batch parallelism — the per-trial active batches fan out across
-//    ThreadPool::global(); every batch writes only its own trace and
-//    scratch, so the result does not depend on the thread count.
+//  * Fail-fast batch order — the active batches of a trial run in the
+//    run_fail_fast_waves schedule (waves of 1, 2, 4, 8, ... batches, ended
+//    by the first failing wave), and the batch that rejected the last trial
+//    runs first, alone: one missed fault settles a rejection.
+//  * Batch parallelism — each wave fans out across ThreadPool::global();
+//    every batch writes only its own trace and scratch, so the result does
+//    not depend on the thread count.
 //
 // The engine runs 64-bit words whatever the CPU's widest: a trial stops
 // once its batch's state re-joins the accepted run, which a wider batch
@@ -124,23 +128,36 @@ class OmissionEngine {
       if (traces_[b].max_first >= t) active_.push_back(b);
     obs::count(obs::Counter::BatchSkips, runners_.size() - active_.size());
 
+    // Last failure first: the batch that rejected the last trial runs alone
+    // in the first wave; the others keep their hardest-first order.
+    if (const auto it = std::find(active_.begin(), active_.end(), last_fail_);
+        it != active_.end())
+      std::rotate(active_.begin(), it, it + 1);
+
     ThreadPool& pool = ThreadPool::global();
     if (work_.size() < pool.num_workers()) work_.resize(pool.num_workers());
-    // Wave-scheduled deterministic fail-fast (see FaultSimulator::
-    // detects_all): every batch of a scheduled wave runs to its stop, so the
-    // set of executed batch advances and every counter is a pure function of
-    // the input.
-    for (std::size_t wave = 0; wave < active_.size(); wave += kFailFastWave) {
-      const std::size_t n = std::min(kFailFastWave, active_.size() - wave);
-      std::atomic<bool> wave_pass{true};
-      pool.parallel_for(n, [&](std::size_t k, std::size_t w) {
-        const std::size_t b = active_[wave + k];
+    // Every batch of a scheduled wave runs to its stop (run_fail_fast_waves),
+    // and the failure remembered is the wave's lowest failing position, so
+    // the batches that run and every counter are a pure function of the
+    // input. Batches left unrun keep their traces as they are: sync()
+    // catches them up once they are next needed.
+    const bool pass = run_fail_fast_waves(active_.size(), [&](std::size_t lo, std::size_t hi) {
+      std::atomic<std::size_t> first_fail{hi};
+      pool.parallel_for(hi - lo, [&](std::size_t k, std::size_t w) {
+        const std::size_t b = active_[lo + k];
         sync(b, cur, work_[w]);
-        if (!trial_passes(b, trial, t, work_[w]))
-          wave_pass.store(false, std::memory_order_relaxed);
+        if (trial_passes(b, trial, t, work_[w])) return;
+        std::size_t seen = first_fail.load(std::memory_order_relaxed);
+        while (lo + k < seen &&
+               !first_fail.compare_exchange_weak(seen, lo + k, std::memory_order_relaxed)) {
+        }
       });
-      if (!wave_pass.load(std::memory_order_relaxed)) return false;
-    }
+      const std::size_t at = first_fail.load(std::memory_order_relaxed);
+      if (at == hi) return true;
+      last_fail_ = active_[at];
+      return false;
+    });
+    if (!pass) return false;
 
     // Commit: the trial sequence becomes the accepted sequence. The traces
     // follow lazily (sync()); the simulated batches adopt their trial
@@ -396,6 +413,7 @@ class OmissionEngine {
   std::vector<Trace> traces_;
   std::vector<State> states_;  // per batch: its latest run, stopped where it ended
   std::vector<std::size_t> active_;
+  std::size_t last_fail_ = SIZE_MAX;  // the batch that rejected the last trial
   std::vector<Work> work_;  // per pool worker
 };
 

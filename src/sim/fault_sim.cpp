@@ -561,23 +561,17 @@ bool FaultSimulatorT<Model>::detects_all(const SequenceView& view,
   return at_slot_width(faults.size(), [&]<class Word>() {
     constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
     const std::size_t num_batches = (faults.size() + kPer - 1) / kPer;
-    // Deterministic wave-scheduled fail-fast (DESIGN.md §5g): batches run in
-    // fixed-size waves with the fail flag checked serially BETWEEN waves
-    // only. Every batch of a scheduled wave always runs to completion, so
-    // the set of executed batch advances — and with it every work counter —
-    // depends only on the input, never on thread timing. The returned
-    // verdict is identical to a run without fail-fast.
-    bool ok = true;
-    for (std::size_t wave = 0; wave < num_batches && ok; wave += kFailFastWave) {
+    // Deterministic fail-fast (DESIGN.md §5g): the verdict is the one a run
+    // without it returns, and the batches that run depend only on the input.
+    return run_fail_fast_waves(num_batches, [&](std::size_t lo, std::size_t hi) {
       std::atomic<bool> wave_ok{true};
-      run_batches<Word>(view, faults, wave, std::min(wave + kFailFastWave, num_batches), {},
-                        nullptr, [&](std::size_t, const auto& runner, const auto& s) {
+      run_batches<Word>(view, faults, lo, hi, {}, nullptr,
+                        [&](std::size_t, const auto& runner, const auto& s) {
                           if (!((s.detected_slots & runner.slot_mask()) == runner.slot_mask()))
                             wave_ok.store(false, std::memory_order_relaxed);
                         });
-      ok = wave_ok.load(std::memory_order_relaxed);
-    }
-    return ok;
+      return wave_ok.load(std::memory_order_relaxed);
+    });
   });
 }
 

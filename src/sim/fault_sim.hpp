@@ -34,6 +34,7 @@
 //    FaultSimulator and TransitionFaultSimulator are its two instantiations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -52,12 +53,27 @@
 
 namespace uniscan {
 
-/// Batches per wave of the deterministic fail-fast used by detects_all (and
-/// mirrored in the omission engine): cross-batch fail flags are only
-/// consulted serially BETWEEN waves, so the set of batch advances that
-/// execute — and every obs:: work counter — is a pure function of the input,
-/// independent of thread count and timing.
-inline constexpr std::size_t kFailFastWave = 8;
+/// Largest wave of the deterministic fail-fast schedule.
+inline constexpr std::size_t kFailFastWaveMax = 8;
+
+/// The deterministic fail-fast schedule of detects_all and the omission
+/// engine: batches [0, n) run in waves of 1, 2, 4, 8, 8, ... batches, so a
+/// miss in the first batch costs one batch while a pass runs full waves
+/// from the fourth on. run_wave(lo, hi) runs batches [lo, hi), every one to
+/// its stop, and returns whether all of them passed; the first failing
+/// wave ends the schedule. Fail flags are read only here, serially between
+/// waves, so the set of batch advances that execute, and every obs:: work
+/// counter, is a pure function of the input at any thread count. Returns
+/// true iff every wave passed.
+template <class RunWave>
+bool run_fail_fast_waves(std::size_t n, RunWave&& run_wave) {
+  for (std::size_t lo = 0, size = 1; lo < n; size = std::min(2 * size, kFailFastWaveMax)) {
+    const std::size_t hi = std::min(n, lo + size);
+    if (!run_wave(lo, hi)) return false;
+    lo = hi;
+  }
+  return true;
+}
 
 struct DetectionRecord {
   bool detected = false;

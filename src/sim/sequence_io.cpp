@@ -1,6 +1,8 @@
 #include "sim/sequence_io.hpp"
 
+#include <charconv>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,10 +30,27 @@ bool next_line(std::istream& in, std::string& line, std::size_t& line_no) {
   return false;
 }
 
+/// Whether `line` is exactly `<magic> v1` followed by counts.size() counts,
+/// each a plain non-negative decimal that fits std::size_t; fills `counts`.
+bool parse_header(const std::string& line, std::string_view magic,
+                  std::span<std::size_t> counts) {
+  std::istringstream is(line);
+  std::vector<std::string> words;
+  for (std::string w; is >> w;) words.push_back(std::move(w));
+  if (words.size() != counts.size() + 2 || words[0] != magic || words[1] != "v1") return false;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    const std::string& w = words[k + 2];
+    const auto [ptr, ec] = std::from_chars(w.data(), w.data() + w.size(), counts[k]);
+    if (ec != std::errc() || ptr != w.data() + w.size()) return false;
+  }
+  return true;
+}
+
+/// One vector row of `width` values. The row is never sized from `width`,
+/// which comes from an unchecked header.
 std::vector<V3> parse_row(const std::string& line, std::size_t width, std::size_t line_no,
                           const std::string& source) {
   std::vector<V3> row;
-  row.reserve(width);
   for (char c : line) {
     if (c == ' ' || c == '\t') continue;
     if (c != '0' && c != '1' && c != 'x' && c != 'X')
@@ -81,11 +100,8 @@ TestSequence read_sequence(std::istream& in, const std::string& source) {
   std::string line;
   std::size_t line_no = 0;
   if (!next_line(in, line, line_no)) fail_in(source, line_no, "empty input");
-  std::istringstream header(line);
-  std::string magic, version;
   std::size_t width = 0;
-  header >> magic >> version >> width;
-  if (magic != "useq" || version != "v1" || header.fail())
+  if (!parse_header(line, "useq", std::span<std::size_t>(&width, 1)))
     fail_in(source, line_no, "expected header 'useq v1 <num_inputs>'");
 
   TestSequence seq(width);
@@ -131,20 +147,26 @@ ScanTestSet read_test_set(std::istream& in, const std::string& source) {
   std::string line;
   std::size_t line_no = 0;
   if (!next_line(in, line, line_no)) fail_in(source, line_no, "empty input");
-  std::istringstream header(line);
-  std::string magic, version;
-  std::size_t width = 0, chain = 0;
-  header >> magic >> version >> width >> chain;
-  if (magic != "utst" || version != "v1" || header.fail())
+  std::size_t counts[2] = {};
+  if (!parse_header(line, "utst", counts))
     fail_in(source, line_no, "expected header 'utst v1 <num_inputs> <chain_length>'");
+  const auto [width, chain] = counts;
 
   ScanTestSet set;
   set.num_original_inputs = width;
   set.chain_length = chain;
+  std::size_t test_line = 0;  // line of the last `test` line
+  const auto require_vectors = [&] {
+    if (!set.tests.empty() && set.tests.back().vectors.empty())
+      fail_in(source, test_line, "test " + std::to_string(set.tests.size()) + " has no vectors");
+  };
   while (next_line(in, line, line_no)) {
-    if (starts_with(line, "test ")) {
+    // An empty scan-in (no flip-flops) leaves the bare keyword.
+    if (line == "test" || starts_with(line, "test ")) {
+      require_vectors();
+      test_line = line_no;
       ScanTest t;
-      const std::string si(trim(line.substr(5)));
+      const std::string si(trim(std::string_view(line).substr(4)));
       for (char c : si) {
         if (c != '0' && c != '1' && c != 'x' && c != 'X')
           fail_in(source, line_no, "bad scan-in character in '" + excerpt(si) + "'");
@@ -163,9 +185,7 @@ ScanTestSet read_test_set(std::istream& in, const std::string& source) {
       set.tests.back().vectors.push_back(parse_row(line, width, line_no, source));
     }
   }
-  for (std::size_t i = 0; i < set.tests.size(); ++i)
-    if (set.tests[i].vectors.empty())
-      throw std::runtime_error("test " + std::to_string(i + 1) + " has no vectors");
+  require_vectors();
   return set;
 }
 

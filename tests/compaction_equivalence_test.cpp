@@ -364,5 +364,59 @@ TEST(OmissionEngine, EraseAtBoundaryFramesMatchesReference) {
   ASSERT_EQ(engine.length(), cur.length());
 }
 
+/// A rejected trial remembers the batch that rejected it, and the next trial
+/// runs that batch first, alone. On the Table 7 s298 fixture (681 faults,
+/// eleven batches, several fail-fast waves) a rejected erasure repeated is
+/// rejected again after exactly one batch advance, also where the hardest-
+/// first batch of the trial passes and so would have run first.
+TEST(OmissionEngine, RepeatedRejectionRunsOnlyTheBatchThatRejected) {
+  const TranslatedFixture fx("s298");
+  FaultSimulator sim(fx.sc.netlist);
+  const auto base = sim.run(fx.seq, fx.fl.faults());
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < base.size(); ++i)
+    if (base[i].detected) idx.push_back(i);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](std::size_t a, std::size_t b) { return base[a].time > base[b].time; });
+  std::vector<Fault> must;
+  for (std::size_t i : idx) must.push_back(fx.fl.faults()[i]);
+  using Engine = detail::OmissionEngine<FaultSimulator>;
+  ASSERT_GT(must.size(), 7 * Engine::kPer);  // reaches the fourth wave
+  Engine engine(sim.compiled(), fx.seq, must);
+
+  // Whether the first batch a trial at t would run, hardest first, passes.
+  const auto first_active_batch_passes = [&](const TestSequence& cur, std::size_t t) {
+    std::vector<std::size_t> keep;
+    for (std::size_t j = 0; j < cur.length(); ++j)
+      if (j != t) keep.push_back(j);
+    const TestSequence trial = cur.select(keep);
+    for (std::size_t lo = 0; lo < must.size(); lo += Engine::kPer) {
+      const auto batch =
+          std::span<const Fault>(must).subspan(lo, std::min(Engine::kPer, must.size() - lo));
+      std::uint32_t last = 0;
+      for (const DetectionRecord& d : sim.run(cur, batch)) last = std::max(last, d.time);
+      if (last >= t) return sim.detects_all(trial, batch);
+    }
+    return true;
+  };
+
+  TestSequence cur = fx.seq;
+  std::size_t repeats = 0, reordered = 0;
+  for (std::size_t t = cur.length(); t-- > 0 && reordered < 3;) {
+    if (engine.try_erase(t)) {
+      cur.erase(t);
+      continue;
+    }
+    const obs::CounterScope scope;
+    ASSERT_FALSE(engine.try_erase(t)) << "t=" << t;
+    ASSERT_EQ(scope.delta(obs::Counter::BatchesRun), 1u) << "t=" << t;
+    ++repeats;
+    if (first_active_batch_passes(cur, t)) ++reordered;
+  }
+  EXPECT_GT(repeats, 0u);
+  EXPECT_EQ(reordered, 3u);
+  EXPECT_EQ(engine.materialize(), cur);
+}
+
 }  // namespace
 }  // namespace uniscan

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "fault/fault_list.hpp"
 #include "netlist/builder.hpp"
 #include "reference_sim.hpp"
@@ -18,6 +22,40 @@ TestSequence random_sequence(const Netlist& nl, std::size_t len, std::uint64_t s
   for (std::size_t t = 0; t < len; ++t) seq.append_x();
   seq.random_fill(rng);
   return seq;
+}
+
+/// The waves run_fail_fast_waves schedules over `n` batches when the wave
+/// with index `fail_at` fails (none fails by default).
+std::vector<std::pair<std::size_t, std::size_t>> waves(std::size_t n,
+                                                       std::size_t fail_at = SIZE_MAX) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  const bool pass = run_fail_fast_waves(n, [&](std::size_t lo, std::size_t hi) {
+    out.emplace_back(lo, hi);
+    return out.size() - 1 != fail_at;
+  });
+  EXPECT_EQ(pass, fail_at >= out.size());
+  return out;
+}
+
+TEST(FailFastWaves, DoublingWavesCappedAtEight) {
+  using W = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(waves(0), W{});
+  EXPECT_EQ(waves(1), (W{{0, 1}}));
+  EXPECT_EQ(waves(2), (W{{0, 1}, {1, 2}}));
+  EXPECT_EQ(waves(3), (W{{0, 1}, {1, 3}}));
+  EXPECT_EQ(waves(7), (W{{0, 1}, {1, 3}, {3, 7}}));
+  EXPECT_EQ(waves(8), (W{{0, 1}, {1, 3}, {3, 7}, {7, 8}}));
+  EXPECT_EQ(waves(9), (W{{0, 1}, {1, 3}, {3, 7}, {7, 9}}));
+  EXPECT_EQ(waves(20), (W{{0, 1}, {1, 3}, {3, 7}, {7, 15}, {15, 20}}));
+  EXPECT_EQ(waves(40), (W{{0, 1}, {1, 3}, {3, 7}, {7, 15}, {15, 23}, {23, 31}, {31, 39},
+                          {39, 40}}));
+}
+
+TEST(FailFastWaves, StopAfterTheFirstFailingWave) {
+  using W = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(waves(20, 0), (W{{0, 1}}));
+  EXPECT_EQ(waves(20, 2), (W{{0, 1}, {1, 3}, {3, 7}}));
+  EXPECT_EQ(waves(20, 4), (W{{0, 1}, {1, 3}, {3, 7}, {7, 15}, {15, 20}}));
 }
 
 TEST(FaultSim, AgreesWithSerialReferenceOnS27) {

@@ -1,9 +1,13 @@
 // Counter-equivalence tier for the telemetry registry (DESIGN.md §5g): the
 // process-wide counter totals must be bit-identical at any thread count.
-// The wave-scheduled deterministic fail-fast (sim/fault_sim.hpp
-// kFailFastWave) makes the set of executed batch advances — and therefore
-// every counter — a pure function of the input, so these tests compare
-// EXACT equality of whole CounterArrays, not tolerances.
+// The deterministic fail-fast schedule (sim/fault_sim.hpp
+// run_fail_fast_waves: waves of 1, 2, 4, 8, ... batches, fail flags read
+// only between waves) and the omission engine's last-failure-first order
+// (the failure it remembers is the lowest failing position of a wave) make
+// the set of executed batch advances, and therefore every counter, a pure
+// function of the input, so these tests compare EXACT equality of whole
+// CounterArrays, not tolerances. The small suite has at most two batches a
+// circuit; the Table 7 s298 case below reaches the later waves.
 #include "obs/counters.hpp"
 
 #include <gtest/gtest.h>
@@ -79,6 +83,31 @@ TEST(ObsCounters, TransitionTotalsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(base[std::size_t(obs::Counter::GateEvals)], 0u);
   for (std::size_t t : kThreadCounts) {
     const obs::CounterArray got = transition_totals(t);
+    EXPECT_EQ(got, base) << "threads=" << t << ": " << diff_string(got, base);
+  }
+}
+
+/// Totals of omission alone on the Table 7 s298 sequence (a translated,
+/// restored complete-scan test set; eleven 63-fault batches) at `threads`.
+obs::CounterArray translated_omission_totals(std::size_t threads) {
+  static const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("s298")));
+  static const FaultList fl = FaultList::collapsed(sc.netlist);
+  static const TestSequence seq =
+      restoration_compact(sc.netlist, generate_baseline_tests(sc, fl, {}).translated,
+                          fl.faults())
+          .sequence;
+  const PoolGuard pool(threads);
+  obs::reset();
+  omission_compact(sc.netlist, seq, fl.faults(), {});
+  return obs::totals();
+}
+
+TEST(ObsCounters, TranslatedOmissionTotalsBitIdenticalAcrossThreadCounts) {
+  const obs::CounterArray base = translated_omission_totals(1);
+  EXPECT_GT(base[std::size_t(obs::Counter::OmissionTrials)], 0u);
+  EXPECT_GT(base[std::size_t(obs::Counter::BatchesRun)], 0u);
+  for (std::size_t t : kThreadCounts) {
+    const obs::CounterArray got = translated_omission_totals(t);
     EXPECT_EQ(got, base) << "threads=" << t << ": " << diff_string(got, base);
   }
 }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +37,48 @@ TEST(SequenceIo, RejectsBadHeader) {
   EXPECT_THROW(read_sequence_string("frob v1 3\n000\n"), std::runtime_error);
   EXPECT_THROW(read_sequence_string("useq v2 3\n000\n"), std::runtime_error);
   EXPECT_THROW(read_sequence_string(""), std::runtime_error);
+}
+
+/// The message `read` throws, or "" when it does not throw.
+template <class Read>
+std::string error_of(Read&& read) {
+  try {
+    read();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string sequence_error(const std::string& text) {
+  return error_of([&] {
+    std::istringstream is(text);
+    read_sequence(is, "t.useq");
+  });
+}
+
+std::string test_set_error(const std::string& text) {
+  return error_of([&] {
+    std::istringstream is(text);
+    read_test_set(is, "t.utst");
+  });
+}
+
+// Header counts are plain non-negative decimals with nothing after them,
+// and no buffer is sized from one: a signed, trailing-junk or huge count
+// gives a file:line error, never a wrapped size or an allocation failure.
+TEST(SequenceIo, HeaderCountsAreStrictDecimals) {
+  const std::string bad_header =
+      "sequence parse error in t.useq at line 1: expected header 'useq v1 <num_inputs>'";
+  EXPECT_EQ(sequence_error("useq v1 -3\n000\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1 +3\n000\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1 4 junk\n0000\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1 4junk\n0000\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1 99999999999999999999999\n"), bad_header);
+  EXPECT_EQ(sequence_error("useq v1 99999999999999\n0101\n"),
+            "sequence parse error in t.useq at line 2: expected 99999999999999 values, got 4");
+  EXPECT_EQ(read_sequence_string("useq\tv1  2 \n01\n").length(), 1u);
 }
 
 TEST(SequenceIo, RejectsBadRows) {
@@ -132,6 +175,37 @@ TEST(TestSetIo, RejectsInconsistentScanInWidths) {
 
 TEST(TestSetIo, RejectsTestWithoutVectors) {
   EXPECT_THROW(read_test_set_string("utst v1 3 2\ntest 10\n"), std::runtime_error);
+}
+
+TEST(TestSetIo, HeaderCountsAreStrictDecimals) {
+  const std::string bad_header =
+      "sequence parse error in t.utst at line 1: expected header "
+      "'utst v1 <num_inputs> <chain_length>'";
+  EXPECT_EQ(test_set_error("utst v1 2 -1\ntest 1\n00\n"), bad_header);
+  EXPECT_EQ(test_set_error("utst v1 -2 1\ntest 1\n00\n"), bad_header);
+  EXPECT_EQ(test_set_error("utst v1 2 1 junk\ntest 1\n00\n"), bad_header);
+  EXPECT_EQ(test_set_error("utst v1 2\ntest 1\n00\n"), bad_header);
+  EXPECT_EQ(test_set_error("utst v1 99999999999999 1\ntest 1\n00\n"),
+            "sequence parse error in t.utst at line 3: expected 99999999999999 values, got 2");
+}
+
+// An empty test is reported at its own `test` line, with the source.
+TEST(TestSetIo, TestWithoutVectorsNamesItsLine) {
+  EXPECT_EQ(test_set_error("utst v1 3 2\ntest 10\n"),
+            "sequence parse error in t.utst at line 2: test 1 has no vectors");
+  EXPECT_EQ(test_set_error("utst v1 3 2\ntest 10\n000\n# gap\ntest 01\ntest 11\n111\n"),
+            "sequence parse error in t.utst at line 5: test 2 has no vectors");
+}
+
+// A circuit without flip-flops writes an empty scan-in as a bare `test`.
+TEST(TestSetIo, EmptyScanInRoundTrips) {
+  ScanTestSet set;
+  set.num_original_inputs = 2;
+  set.tests.push_back({{}, {{V3::One, V3::Zero}}});
+  const ScanTestSet back = read_test_set_string(write_test_set_string(set));
+  ASSERT_EQ(back.tests.size(), 1u);
+  EXPECT_TRUE(back.tests[0].scan_in.empty());
+  EXPECT_EQ(back.tests[0].vectors, set.tests[0].vectors);
 }
 
 TEST(TestSetIo, FileRoundTrip) {
